@@ -10,6 +10,10 @@ from .rejection import PriorBox
 from .summaries import SummarySpec
 
 METHODS = ("S", "LS", "GPa", "GPb", "GPc", "RE")
+# methods whose table rows carry GP predictive variances and correlation
+GP_METHODS = ("GPa", "GPb", "GPc")
+# methods that accept by GP predictive density; the rest by distance
+DENSITY_METHODS = ("GPa", "GPb")
 
 # fields that never influence results, excluded from the config hash
 _NON_SEMANTIC = ("workers", "timing_reps")
@@ -57,13 +61,20 @@ class RunConfig:
             raise ConfigError("n_s must be <= n_o")
         if len(self.prior_low) != len(self.prior_high):
             raise ConfigError("prior bounds differ in length")
-        if self.method == "RE" and not any(
-                s.kind == "sample_triangle_count" for s in
-                self.summary_specs()):
+        sampled = any(s.kind == "sample_triangle_count"
+                      for s in self.summary_specs())
+        if self.method == "RE" and not sampled:
             raise ConfigError(
                 "method RE needs a sample_triangle_count summary")
         if not self.checkpoints() and self.method != "S":
             raise ConfigError("checkpoint grid is empty")
+        # a sampled summary is first evaluated at n_o (method S) or at
+        # the first checkpoint, and cannot sample more nodes than exist
+        first = self.n_o if self.method == "S" else self.checkpoints()[0]
+        if sampled and self.n_star > first:
+            raise ConfigError(
+                "n_star=%d exceeds the %d nodes where the sampled "
+                "summary is first evaluated" % (self.n_star, first))
         return self
 
     def theta_names(self):

@@ -83,9 +83,9 @@ class EdgeListParseError(ValueError):
         self.line_number = line_number
 
 
-class MissingTimestamps(ValueError):
-    pass
-
-
 class ConfigError(ValueError):
     pass
+
+
+class MissingTimestamps(ConfigError):
+    """A seed cutoff was given for an edge list without timestamps."""

@@ -5,14 +5,14 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from .config import config_hash
+from .config import DENSITY_METHODS, config_hash
 from .errors import ConfigError
 from .graph import sample_nodes, induced_triangles, triangle_count_scan
+from .pool import pool_map
 from .rejection import (
     accept_top_k_density,
     accept_top_k_distance,
@@ -48,7 +48,7 @@ def compute_sds(cfg, entries):
 def run_abc(cfg, entries, observed, sds, fill_rng=None):
     """One acceptance pass with the configured method."""
     k = cfg.accept_k
-    if cfg.method in ("S", "LS", "RE", "GPc"):
+    if cfg.method not in DENSITY_METHODS:
         return accept_top_k_distance(entries, observed, sds, k,
                                      method=cfg.method)
     inflate = 1.0 if cfg.method == "GPa" else cfg.inflate
@@ -88,16 +88,8 @@ def run_experiment(cfg, out_dir, workers=None):
     truths = cfg.truth_list()
     jobs = [(cfg, t, r) for t in range(len(truths))
             for r in range(cfg.exp_replicates)]
-    if workers is None:
-        workers = cfg.workers
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(jobs) < 4:
-        observed_results = list(map(_observed_for, jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            observed_results = list(pool.map(_observed_for, jobs))
-    observed_results.sort(key=lambda t: (t[0], t[1]))
+    workers = cfg.workers if workers is None else workers
+    observed_results = list(pool_map(_observed_for, jobs, workers))
 
     names = cfg.theta_names()
     means_path = os.path.join(out_dir, "posterior_means.csv")

@@ -135,31 +135,6 @@ def _hyper_from_vector(spec, vec):
     return GpHyper(**kw)
 
 
-def _neg_log_posterior(theta, spec, grid, s, prior_centers, prior_sds):
-    mean_params = theta[:2]
-    hyper = _hyper_from_vector(spec, theta[2:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = s - _mean(mean_params, grid)
-    if not np.all(np.isfinite(r)):
-        return 1e30
-    k = gram_matrix(spec, hyper, grid)
-    try:
-        cho = _chol_with_jitter(k)
-    except SingularKernel:
-        return 1e30
-    alpha_vec = cho_solve(cho, r)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-    nll = 0.5 * float(r @ alpha_vec) + 0.5 * logdet \
-        + 0.5 * len(grid) * math.log(2.0 * math.pi)
-    # mean-parameter priors: normal centered at the LS estimates
-    for v, c0, sd in zip(mean_params, prior_centers, prior_sds):
-        nll += 0.5 * ((v - c0) / sd) ** 2
-    # kernel-parameter priors: positively truncated standard normals
-    for v in theta[2:]:
-        nll += 0.5 * v * v
-    return nll if np.isfinite(nll) else 1e30
-
-
 def _kernel_param_grads(spec, hyper, grid):
     """d(Gram)/d(theta) for each free kernel parameter, in _pack order."""
     x = np.asarray(grid, dtype=float)
@@ -189,34 +164,55 @@ def _kernel_param_grads(spec, hyper, grid):
 
 
 def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds):
-    """Objective and its analytic gradient for the MAP optimizer."""
-    value = _neg_log_posterior(theta, spec, grid, s, prior_centers,
-                               prior_sds)
-    if value >= 1e29:
-        return value, np.zeros_like(theta)
-    a, c = theta[:2]
-    hyper = _hyper_from_vector(spec, theta[2:])
-    k = gram_matrix(spec, hyper, grid)
-    cho = _chol_with_jitter(k)
-    mu = _mean((a, c), grid)
-    r = s - mu
-    alpha_vec = cho_solve(cho, r)
-    k_inv = cho_solve(cho, np.eye(len(grid)))
+    """Objective and its analytic gradient for the MAP optimizer, from
+    one Gram matrix and one Cholesky factor (GPML Alg. 2.1, eq. 5.9).
 
+    A value >= 1e29 marks a failed evaluation and comes with a zero
+    gradient, which keeps the optimizer from following it."""
+    mean_params = theta[:2]
+    hyper = _hyper_from_vector(spec, theta[2:])
+    zero = np.zeros_like(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = s - _mean(mean_params, grid)
+    if not np.all(np.isfinite(r)):
+        return 1e30, zero
+    try:
+        cho = _chol_with_jitter(gram_matrix(spec, hyper, grid))
+    except SingularKernel:
+        return 1e30, zero
+    alpha_vec = cho_solve(cho, r)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    nll = 0.5 * float(r @ alpha_vec) + 0.5 * logdet \
+        + 0.5 * len(grid) * math.log(2.0 * math.pi)
+    # mean-parameter priors: normal centered at the LS estimates
+    for v, c0, sd in zip(mean_params, prior_centers, prior_sds):
+        nll += 0.5 * ((v - c0) / sd) ** 2
+    # kernel-parameter priors: positively truncated standard normals
+    for v in theta[2:]:
+        nll += 0.5 * v * v
+    nll = nll if np.isfinite(nll) else 1e30
+    if nll >= 1e29:
+        return nll, zero
+
+    a, c = mean_params
+    k_inv = cho_solve(cho, np.eye(len(grid)))
     grad = np.empty_like(theta)
-    nc = np.asarray(grid, float) ** c
-    dmu_da = nc
+    nc = np.asarray(grid, float) ** c  # d(mean)/da
     dmu_dc = a * nc * np.log(grid)
-    grad[0] = -float(dmu_da @ alpha_vec) \
+    grad[0] = -float(nc @ alpha_vec) \
         + (a - prior_centers[0]) / prior_sds[0] ** 2
     grad[1] = -float(dmu_dc @ alpha_vec) \
         + (c - prior_centers[1]) / prior_sds[1] ** 2
     for i, dk in enumerate(_kernel_param_grads(spec, hyper, grid)):
         grad[2 + i] = 0.5 * float(np.sum(k_inv * dk)) \
             - 0.5 * float(alpha_vec @ dk @ alpha_vec) + theta[2 + i]
-    if not np.all(np.isfinite(grad)):
-        return value, np.zeros_like(theta)
-    return value, grad
+    return nll, (grad if np.all(np.isfinite(grad)) else zero)
+
+
+def _neg_log_posterior(theta, spec, grid, s, prior_centers, prior_sds):
+    """Value of the MAP objective alone."""
+    return _neg_log_posterior_grad(theta, spec, grid, s, prior_centers,
+                                   prior_sds)[0]
 
 
 def fit_map(grid, s, spec, ls_init, min_spacing=None):
@@ -263,21 +259,15 @@ def fit_map(grid, s, spec, ls_init, min_spacing=None):
     if best is None or not np.isfinite(best.fun) or best.fun >= 1e29:
         raise NotConverged("no MAP start converged")
 
-    mean_params = (float(best.x[0]), float(best.x[1]))
-    hyper = _hyper_from_vector(spec, best.x[2:])
-    k = gram_matrix(spec, hyper, grid)
-    cho = _chol_with_jitter(k)
-    r = s - _mean(mean_params, grid)
     fit = GpFit(
-        mean_params=mean_params,
-        hyper=hyper,
+        mean_params=(float(best.x[0]), float(best.x[1])),
+        hyper=_hyper_from_vector(spec, best.x[2:]),
         spec=spec,
         log_posterior=-float(best.fun),
         grid=grid,
         values=s,
-        _cho=cho,
-        _weights=cho_solve(cho, r),
     )
+    _ensure_solve(fit)
     return fit
 
 

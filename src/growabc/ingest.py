@@ -60,9 +60,13 @@ def read_edge_list(path, directed=False):
     return g, node_ts
 
 
-def _induced_subgraph(g, nodes):
-    """Dense-relabel induced subgraph (insertion order by old id)."""
-    order = sorted(nodes)
+def seed_subgraph(g, node_ts, cutoff):
+    """Induced subgraph on the nodes first seen at or before ``cutoff``,
+    relabelled densely in the order of their old ids."""
+    if node_ts is None:
+        raise MissingTimestamps(
+            "seed cutoff given but the file has no timestamp column")
+    order = sorted(u for u, ts in node_ts.items() if ts <= cutoff)
     relabel = {old: new for new, old in enumerate(order)}
     sub = Graph(directed=g.directed)
     for _ in order:
@@ -79,11 +83,7 @@ def ingest_observed(path, specs, seed_cutoff=None, directed=False, rng=None):
     g, node_ts = read_edge_list(path, directed=directed)
     seed_graph = None
     if seed_cutoff is not None:
-        if node_ts is None:
-            raise MissingTimestamps(
-                "seed cutoff given but the file has no timestamp column")
-        early = {u for u, ts in node_ts.items() if ts <= seed_cutoff}
-        seed_graph = _induced_subgraph(g, early)
+        seed_graph = seed_subgraph(g, node_ts, seed_cutoff)
     summaries = tuple(evaluate(spec, g, rng) for spec in specs)
     return ObservedNetwork(
         graph=g,

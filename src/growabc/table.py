@@ -3,21 +3,26 @@
 One row per prior draw: the parameters, the per-entry RNG seed, and the
 extrapolated (or, for method S, exact) summary values at n_o; GP-based
 methods additionally store predictive variances and the inter-summary
-correlation. Rows are written incrementally and builds are resumable by
-entry id, guarded by a config hash in the header comment.
+correlation; a failed entry writes nan values and ``failed=1``. Rows are
+written incrementally and builds are resumable by entry id, guarded by a
+config hash in the header comment. Resuming cuts off a last row without
+its newline (a build killed mid-write), and reading refuses a row whose
+field count differs from the header's. A config whose sampled summary
+could never be evaluated (``n_star`` above the first checkpoint, or above
+n_o for method S) is refused before any entry is built.
 """
 
 import csv
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import curvefit, gp
-from .config import config_hash
+from .config import GP_METHODS, config_hash
 from .errors import ConfigError
 from .graph import er_seed
-from .ingest import read_edge_list, _induced_subgraph
+from .ingest import read_edge_list, seed_subgraph
 from .models import (
     DmcParams,
     GrowthPlan,
@@ -26,6 +31,7 @@ from .models import (
     grow_dmc,
     grow_price,
 )
+from .pool import pool_map
 from .rejection import ReferenceTableEntry, draw_prior
 from .seeding import mix_seed
 from .summaries import evaluate
@@ -37,13 +43,9 @@ def build_seed_graph(cfg):
             raise ConfigError("seed_type=edgelist needs seed_path")
         g, node_ts = read_edge_list(cfg.seed_path,
                                     directed=cfg.model == "price")
-        if cfg.seed_cutoff is not None:
-            if node_ts is None:
-                raise ConfigError("seed_cutoff needs a timestamp column")
-            early = {u for u, ts in node_ts.items()
-                     if ts <= cfg.seed_cutoff}
-            g = _induced_subgraph(g, early)
-        return g
+        if cfg.seed_cutoff is None:
+            return g
+        return seed_subgraph(g, node_ts, cfg.seed_cutoff)
     if cfg.model == "price":
         return directed_seed(cfg.seed_n, cfg.seed_p, cfg.seed_rng)
     return er_seed(cfg.seed_n, cfg.seed_p, cfg.seed_rng)
@@ -81,7 +83,7 @@ def _entry_values(cfg, theta, rng):
 
     series, _ = grow_to(cfg, theta, rng, cfg.n_s, cfg.checkpoints(), specs)
     grid = np.asarray(series.checkpoints, dtype=float)
-    if cfg.method in ("LS", "RE"):
+    if cfg.method not in GP_METHODS:  # LS and RE
         ext = []
         for spec in specs:
             family = curvefit.DEFAULT_FAMILY_BY_KIND[spec.kind]
@@ -118,14 +120,15 @@ def _build_entry(args):
         ext, gpvars, gpcorr = _entry_values(cfg, theta, rng)
         return (entry_id, seed_val, theta, ext, gpvars, gpcorr, False)
     except Exception:
-        return (entry_id, seed_val, theta, None, None, None, True)
+        nans = (math.nan,) * len(cfg.summary_specs())
+        return (entry_id, seed_val, theta, nans, nans, math.nan, True)
 
 
 def table_columns(cfg):
     names = [s.name for s in cfg.summary_specs()]
     cols = ["entry_id", "rng_seed"] + list(cfg.theta_names())
     cols += ["ext_%s" % n for n in names]
-    if cfg.method in ("GPa", "GPb", "GPc"):
+    if cfg.method in GP_METHODS:
         cols += ["gpvar_%s" % n for n in names] + ["gp_corr"]
     cols.append("failed")
     return cols
@@ -133,40 +136,39 @@ def table_columns(cfg):
 
 def _format_row(cfg, result):
     entry_id, seed_val, theta, ext, gpvars, gpcorr, failed = result
-    n_sum = len(cfg.summary_specs())
-    row = [str(entry_id), str(seed_val)]
-    row += [repr(float(t)) for t in theta]
-    if failed:
-        row += ["nan"] * n_sum
-        if cfg.method in ("GPa", "GPb", "GPc"):
-            row += ["nan"] * (n_sum + 1)
-        row.append("1")
-        return row
-    row += [repr(float(v)) for v in ext]
-    if cfg.method in ("GPa", "GPb", "GPc"):
-        row += [repr(float(v)) for v in gpvars]
-        row.append(repr(float(gpcorr)))
-    row.append("0")
-    return row
+    values = list(theta) + list(ext)
+    if cfg.method in GP_METHODS:
+        values += list(gpvars) + [gpcorr]
+    return ([str(entry_id), str(seed_val)]
+            + [repr(float(v)) for v in values] + [str(int(failed))])
 
 
-def _existing_entries(path, expected_hash):
-    done = set()
-    with open(path) as fh:
+def _table_rows(path, expected_hash=None):
+    """Yield a table's header row, then its data rows. Checks the
+    ``# config=`` line against ``expected_hash`` when one is given;
+    raises ConfigError on a row whose field count is not the header's."""
+    with open(path, newline="") as fh:
         first = fh.readline()
         if not first.startswith("# config="):
             raise ConfigError("%s has no config hash line" % path)
         found = first.strip().split("=", 1)[1]
-        if found != expected_hash:
+        if expected_hash is not None and found != expected_hash:
             raise ConfigError(
                 "config hash mismatch: table %s vs config %s"
                 % (found, expected_hash))
         reader = csv.reader(fh)
-        next(reader, None)  # header
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError("%s has no header row" % path)
+        yield header
         for row in reader:
-            if row:
-                done.add(int(row[0]))
-    return done
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(
+                    "%s line %d: %d fields, the header has %d"
+                    % (path, reader.line_num + 1, len(row), len(header)))
+            yield row
 
 
 def build_reference_table(cfg, out_path, workers=None):
@@ -174,30 +176,23 @@ def build_reference_table(cfg, out_path, workers=None):
     cfg.validate()
     chash = config_hash(cfg)
     done = set()
-    if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
-        done = _existing_entries(out_path, chash)
-    pending = [b for b in range(1, cfg.table_size + 1) if b not in done]
+    if os.path.exists(out_path):
+        with open(out_path, "rb+") as fh:  # drop a row torn mid-write
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+        if os.path.getsize(out_path) > 0:
+            rows = _table_rows(out_path, chash)
+            next(rows)  # header
+            done = {int(row[0]) for row in rows}
+    jobs = [(cfg, b) for b in range(1, cfg.table_size + 1) if b not in done]
 
-    mode = "a" if done else "w"
-    if workers is None:
-        workers = cfg.workers
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-
-    with open(out_path, mode, newline="") as fh:
+    with open(out_path, "a" if done else "w", newline="") as fh:
         writer = csv.writer(fh)
         if not done:
             fh.write("# config=%s\n" % chash)
             writer.writerow(table_columns(cfg))
-        jobs = [(cfg, b) for b in pending]
-        if workers == 1 or len(jobs) < 4:
-            results = map(_build_entry, jobs)
-            for result in results:
-                writer.writerow(_format_row(cfg, result))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_build_entry, jobs, chunksize=4):
-                    writer.writerow(_format_row(cfg, result))
+        workers = cfg.workers if workers is None else workers
+        for result in pool_map(_build_entry, jobs, workers, chunksize=4):
+            writer.writerow(_format_row(cfg, result))
     return out_path
 
 
@@ -209,36 +204,27 @@ def load_reference_table(path, expected_hash=None):
     """
     entries = []
     failed = 0
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# config="):
-            raise ConfigError("%s has no config hash line" % path)
-        if expected_hash is not None:
-            found = first.strip().split("=", 1)[1]
-            if found != expected_hash:
-                raise ConfigError("config hash mismatch")
-        reader = csv.reader(fh)
-        header = next(reader)
-        theta_cols = [i for i, c in enumerate(header)
-                      if not c.startswith(("entry_id", "rng_seed", "ext_",
-                                           "gpvar_", "gp_corr", "failed"))]
-        ext_cols = [i for i, c in enumerate(header) if c.startswith("ext_")]
-        var_cols = [i for i, c in enumerate(header) if c.startswith("gpvar_")]
-        corr_col = header.index("gp_corr") if "gp_corr" in header else None
-        for row in reader:
-            if not row:
-                continue
-            if row[header.index("failed")] == "1":
-                failed += 1
-                continue
-            entries.append(ReferenceTableEntry(
-                entry_id=int(row[0]),
-                rng_seed=int(row[1]),
-                theta=tuple(float(row[i]) for i in theta_cols),
-                ext_summaries=tuple(float(row[i]) for i in ext_cols),
-                gp_variances=(tuple(float(row[i]) for i in var_cols)
-                              if var_cols else None),
-                gp_correlation=(float(row[corr_col])
-                                if corr_col is not None else None),
-            ))
+    rows = _table_rows(path, expected_hash)
+    header = next(rows)
+    theta_cols = [i for i, c in enumerate(header)
+                  if not c.startswith(("entry_id", "rng_seed", "ext_",
+                                       "gpvar_", "gp_corr", "failed"))]
+    ext_cols = [i for i, c in enumerate(header) if c.startswith("ext_")]
+    var_cols = [i for i, c in enumerate(header) if c.startswith("gpvar_")]
+    corr_col = header.index("gp_corr") if "gp_corr" in header else None
+    failed_col = header.index("failed")
+    for row in rows:
+        if row[failed_col] == "1":
+            failed += 1
+            continue
+        entries.append(ReferenceTableEntry(
+            entry_id=int(row[0]),
+            rng_seed=int(row[1]),
+            theta=tuple(float(row[i]) for i in theta_cols),
+            ext_summaries=tuple(float(row[i]) for i in ext_cols),
+            gp_variances=(tuple(float(row[i]) for i in var_cols)
+                          if var_cols else None),
+            gp_correlation=(float(row[corr_col])
+                            if corr_col is not None else None),
+        ))
     return entries, failed, header

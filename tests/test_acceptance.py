@@ -170,6 +170,7 @@ def test_criterion_3_gp_oracle():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_4_desk_scale_study(tmp_path):
     t0 = time.perf_counter()
     base = dict(model="dmc", truths="0.25:0.5", n_s=500, n_o=1000,

@@ -95,6 +95,58 @@ class TestKernelValue:
             assert eigvals.min() >= -1e-8 * np.trace(k)
 
 
+class TestObjective:
+    START = {"alpha": 0.3, "gamma": 0.4, "beta": 1.5, "rho": 40.0,
+             "sigma2": 0.8}
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_gradient_matches_finite_differences(self, family, warp):
+        from growabc.gp import _neg_log_posterior, _neg_log_posterior_grad
+        from growabc.gp import _pack
+
+        rng = np.random.default_rng(7)
+        s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
+        spec = KernelSpec(family, warp)
+        theta = np.array([0.38, 1.11] + [self.START[n] for n in _pack(spec)])
+        args = (spec, GRID, s, (0.4, 1.1), (1.0, 1.1))
+        value, grad = _neg_log_posterior_grad(theta, *args)
+        assert value == _neg_log_posterior(theta, *args)
+        for i in range(len(theta)):
+            h = 1e-6 * max(1.0, abs(theta[i]))
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (_neg_log_posterior(up, *args)
+                  - _neg_log_posterior(down, *args)) / (2 * h)
+            assert fd == pytest.approx(grad[i], rel=1e-3, abs=1e-3)
+
+    def test_one_gram_per_objective_evaluation(self, monkeypatch):
+        import growabc.gp as gp
+
+        counts = {"gram": 0, "objective": 0}
+        gram, objective = gp.gram_matrix, gp._neg_log_posterior_grad
+
+        def counted_gram(*args, **kwargs):
+            counts["gram"] += 1
+            return gram(*args, **kwargs)
+
+        def counted_objective(*args):
+            counts["objective"] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(gp, "gram_matrix", counted_gram)
+        monkeypatch.setattr(gp, "_neg_log_posterior_grad", counted_objective)
+        rng = np.random.default_rng(5)
+        s = 0.4 * GRID ** 1.1 + rng.normal(0, 0.5, len(GRID))
+        fit_map(GRID, s, KernelSpec("linear_plus_rbf", "identity"),
+                fit_series(GRID, s, "power"))
+        # plus one for the final solve that predictions reuse
+        assert counts["objective"] > 0
+        assert counts["gram"] == counts["objective"] + 1
+
+
 class TestFitMap:
     def test_near_noiseless_recovery(self):
         rng = np.random.default_rng(0)

@@ -21,7 +21,11 @@ from growabc.experiment import abc_run, run_experiment, timing_report
 from growabc.graph import er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list
 from growabc.summaries import SummarySpec
-from growabc.table import build_reference_table, load_reference_table
+from growabc.table import (
+    build_reference_table,
+    build_seed_graph,
+    load_reference_table,
+)
 from growabc import cli
 
 
@@ -91,6 +95,21 @@ class TestConfig:
             RunConfig(method="RE").validate()  # needs sampled summary
         RunConfig().validate()
 
+    @pytest.mark.parametrize("method", ["RE", "LS"])
+    def test_sampled_summary_larger_than_first_checkpoint(self, method):
+        # n_star=100 above the first checkpoint (35) used to validate,
+        # then fail every entry with SampleTooLarge
+        sampled = "avg_degree,sample_triangle_count"
+        with pytest.raises(ConfigError):
+            RunConfig(method=method, summaries=sampled).validate()
+        RunConfig(method=method, summaries=sampled, n_star=35).validate()
+
+    def test_sampled_summary_larger_than_n_o_for_method_s(self):
+        sampled = "avg_degree,sample_triangle_count"
+        RunConfig(method="S", summaries=sampled, n_star=1000).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(method="S", summaries=sampled, n_star=1001).validate()
+
     def test_checkpoints(self):
         cfg = RunConfig(n_s=500)
         cps = cfg.checkpoints()
@@ -137,6 +156,24 @@ class TestTableBuild:
             fh.writelines(lines[:5])  # hash line + header + 3 entries
         build_reference_table(cfg, partial)
         assert open(partial).read() == open(full).read()
+
+    def test_resume_after_torn_last_row(self, tmp_path):
+        # a build killed 12 characters into entry 3's row; resuming used
+        # to append entry 4 onto that line, which then loaded as an
+        # 8-field entry 3 with q_m ~ 1.96e18, and entry 4 was lost
+        cfg = RunConfig(n_s=100, n_o=200, table_size=6, workers=1)
+        full = tmp_path / "full.csv"
+        build_reference_table(cfg, str(full))
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert lines[4][:12] == b"3,1790961137"
+        torn = tmp_path / "torn.csv"
+        torn.write_bytes(b"".join(lines[:4]) + lines[4][:12])
+        with pytest.raises(ConfigError):
+            load_reference_table(str(torn))
+        build_reference_table(cfg, str(torn))
+        assert torn.read_bytes() == full.read_bytes()
+        entries, failed, _ = load_reference_table(str(torn))
+        assert [e.entry_id for e in entries] == [1, 2, 3, 4, 5, 6]
 
     def test_hash_mismatch_refuses_resume(self, tmp_path):
         cfg = small_cfg()
@@ -214,6 +251,19 @@ class TestIngest:
         assert obs.seed_graph.edge_count == 3
         assert obs.graph.node_count == 5
 
+    def test_edgelist_seed_with_cutoff(self, tmp_path):
+        path = tmp_path / "ts.edges"
+        path.write_text("0 1 1\n1 2 1\n2 0 1\n2 3 9\n3 4 9\n")
+        cfg = small_cfg(seed_type="edgelist", seed_path=str(path),
+                        seed_cutoff=5)
+        seed = build_seed_graph(cfg)
+        assert (seed.node_count, seed.edge_count) == (3, 3)
+        nots = tmp_path / "nots.edges"
+        nots.write_text("0 1\n1 2\n")
+        with pytest.raises(ConfigError):
+            build_seed_graph(small_cfg(seed_type="edgelist",
+                                       seed_path=str(nots), seed_cutoff=5))
+
     def test_cutoff_without_timestamps(self, tmp_path):
         path = tmp_path / "nots.edges"
         path.write_text("0 1\n1 2\n")
@@ -284,6 +334,18 @@ class TestExperiment:
                      "table.csv"):
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
+            assert a == b, name
+
+    def test_pool_matches_serial(self, tmp_path):
+        # 8 entries and 4 observed networks: both pools run at workers=2
+        cfg = small_cfg(table_size=8, exp_replicates=4)
+        outs = {w: str(tmp_path / ("w%d" % w)) for w in (1, 2)}
+        for w, out in outs.items():
+            run_experiment(cfg, out, workers=w)
+        for name in ("posterior_means.csv", "experiment_stats.json",
+                     "table.csv"):
+            a = open(os.path.join(outs[1], name), "rb").read()
+            b = open(os.path.join(outs[2], name), "rb").read()
             assert a == b, name
 
 
