@@ -182,13 +182,19 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
     return posterior
 
 
-def _time_entry_build(cfg, reps):
+def _time_entry_build(cfgs, reps):
+    """Mean seconds per entry build for each config in ``cfgs``. Entries
+    1..reps are built in turn for every config, the first config
+    rotating, so a drift in the host's speed hits all configs alike."""
     from .table import _build_entry
 
-    start = time.perf_counter()
+    totals = [0.0] * len(cfgs)
     for b in range(1, reps + 1):
-        _build_entry((cfg, b))
-    return (time.perf_counter() - start) / reps
+        for i in np.roll(np.arange(len(cfgs)), b):
+            start = time.perf_counter()
+            _build_entry((cfgs[i], b))
+            totals[i] += time.perf_counter() - start
+    return [total / reps for total in totals]
 
 
 def _time_observed_summary(cfg, reps):
@@ -220,12 +226,11 @@ def timing_report(cfg, out_path, n_o_list=None, table_sizes=(10, 100),
     reps = max(1, cfg.timing_reps)
     rows = []
     for n_o in n_o_list:
-        per_entry = {}
+        per_entry = dict(zip(methods, _time_entry_build(
+            [replace(cfg, method=m, n_o=n_o) for m in methods], reps)))
         for method in methods:
-            mcfg = replace(cfg, method=method, n_o=n_o)
-            seconds = _time_entry_build(mcfg, reps)
-            per_entry[method] = seconds
-            rows.append(("entry_build", method, n_o, "", repr(seconds)))
+            rows.append(("entry_build", method, n_o, "",
+                         repr(per_entry[method])))
         full, sub = _time_observed_summary(replace(cfg, n_o=n_o), reps)
         rows.append(("observed_summary", "full", n_o, "", repr(full)))
         rows.append(("observed_summary", "subsampled", n_o, "", repr(sub)))

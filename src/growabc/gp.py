@@ -6,6 +6,8 @@ with observation noise on the diagonal. Hyperparameters are estimated
 by MAP under truncated-normal priors (projected quasi-Newton with a
 fixed multi-start list), and the predictive mean/variance at a larger
 node count is read off the usual conditional-normal formulas.
+The hyperparameter-free parts of the Gram matrix (warped node counts,
+squared distances, noise positions) are built once per fit_map grid.
 """
 
 import math
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .errors import NotConverged, SingularKernel, TooFewPoints
@@ -72,25 +75,37 @@ def _warp(x, warp):
     return np.sqrt(x) if warp == "sqrt" else np.asarray(x, dtype=float)
 
 
-def gram_matrix(spec, hyper, x, y=None, noise=True):
-    """Covariance matrix between node-count vectors x and y."""
+def _grid_terms(spec, x, y=None):
+    """Warped x and y, squared distances and the index of the noise
+    entries: the parts of the Gram that no hyperparameter changes."""
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    wx = _warp(x, spec.warp)[:, None]
-    wy = _warp(y, spec.warp)[None, :]
-    lin = hyper.alpha * wx * wy + hyper.gamma
+    return (_warp(x, spec.warp), _warp(y, spec.warp),
+            (x[:, None] - y[None, :]) ** 2,
+            np.nonzero(x[:, None] == y[None, :]))
+
+
+def _assemble(spec, hyper, terms, noise=True):
+    """Gram matrix from _grid_terms, with its linear and RBF parts."""
+    wx, wy, d2, same = terms
+    lin = (hyper.alpha * wx)[:, None] * wy[None, :] + hyper.gamma
+    rbf = None
     if spec.family == "linear_only":
-        k = lin
+        k = lin.copy()
     else:
-        rbf = np.exp(-((x[:, None] - y[None, :]) ** 2)
-                     / (2.0 * hyper.rho ** 2))
+        rbf = np.exp(-d2 / (2.0 * hyper.rho ** 2))
         if spec.family == "linear_plus_rbf":
             k = lin + hyper.beta * rbf
         else:
             k = lin * rbf
     if noise and hyper.sigma2 != 0.0:
-        k = k + hyper.sigma2 * (x[:, None] == y[None, :])
-    return k
+        k[same] += hyper.sigma2
+    return k, lin, rbf
+
+
+def gram_matrix(spec, hyper, x, y=None, noise=True):
+    """Covariance matrix between node-count vectors x and y."""
+    return _assemble(spec, hyper, _grid_terms(spec, x, y), noise)[0]
 
 
 def kernel_value(spec, hyper, n1, n2):
@@ -106,15 +121,16 @@ def _mean(mean_params, n):
 
 
 def _chol_with_jitter(k):
+    if not np.isfinite(k).all():
+        raise SingularKernel("Gram matrix is not finite")
     scale = np.trace(k) / k.shape[0]
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
     for jit in _JITTERS:
-        try:
-            return cho_factor(k + jit * scale * np.eye(k.shape[0]),
-                              lower=True)
-        except np.linalg.LinAlgError:
-            continue
+        c, info = dpotrf(k + jit * scale * np.eye(k.shape[0]) if jit else k,
+                         lower=1, clean=1)
+        if info == 0:
+            return c, True
     raise SingularKernel("Cholesky failed after jitter escalation")
 
 
@@ -135,37 +151,11 @@ def _hyper_from_vector(spec, vec):
     return GpHyper(**kw)
 
 
-def _kernel_param_grads(spec, hyper, grid):
-    """d(Gram)/d(theta) for each free kernel parameter, in _pack order."""
-    x = np.asarray(grid, dtype=float)
-    w = _warp(x, spec.warp)
-    outer = w[:, None] * w[None, :]
-    ones = np.ones((len(x), len(x)))
-    eye = np.eye(len(x))
-    grads = {"sigma2": eye}
-    if spec.family == "linear_only":
-        grads["alpha"] = outer
-        grads["gamma"] = ones
-    else:
-        d2 = (x[:, None] - x[None, :]) ** 2
-        rbf = np.exp(-d2 / (2.0 * hyper.rho ** 2))
-        drbf_drho = rbf * d2 / hyper.rho ** 3
-        if spec.family == "linear_plus_rbf":
-            grads["alpha"] = outer
-            grads["gamma"] = ones
-            grads["beta"] = rbf
-            grads["rho"] = hyper.beta * drbf_drho
-        else:  # linear_times_rbf
-            lin = hyper.alpha * outer + hyper.gamma
-            grads["alpha"] = outer * rbf
-            grads["gamma"] = rbf
-            grads["rho"] = lin * drbf_drho
-    return [grads[name] for name in _pack(spec)]
-
-
-def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds):
+def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
+                            terms=None):
     """Objective and its analytic gradient for the MAP optimizer, from
-    one Gram matrix and one Cholesky factor (GPML Alg. 2.1, eq. 5.9).
+    one Gram matrix and one Cholesky factor (GPML Alg. 2.1, eq. 5.9);
+    ``terms`` are the grid's _grid_terms, built here if not given.
 
     A value >= 1e29 marks a failed evaluation and comes with a zero
     gradient, which keeps the optimizer from following it."""
@@ -176,12 +166,15 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds):
         r = s - _mean(mean_params, grid)
     if not np.all(np.isfinite(r)):
         return 1e30, zero
+    if terms is None:
+        terms = _grid_terms(spec, grid)
+    k, lin, rbf = _assemble(spec, hyper, terms)
     try:
-        cho = _chol_with_jitter(gram_matrix(spec, hyper, grid))
+        chol, _ = _chol_with_jitter(k)
     except SingularKernel:
         return 1e30, zero
-    alpha_vec = cho_solve(cho, r)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    alpha_vec, _ = dpotrs(chol, r, lower=1)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     nll = 0.5 * float(r @ alpha_vec) + 0.5 * logdet \
         + 0.5 * len(grid) * math.log(2.0 * math.pi)
     # mean-parameter priors: normal centered at the LS estimates
@@ -195,7 +188,6 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds):
         return nll, zero
 
     a, c = mean_params
-    k_inv = cho_solve(cho, np.eye(len(grid)))
     grad = np.empty_like(theta)
     nc = np.asarray(grid, float) ** c  # d(mean)/da
     dmu_dc = a * nc * np.log(grid)
@@ -203,16 +195,30 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds):
         + (a - prior_centers[0]) / prior_sds[0] ** 2
     grad[1] = -float(dmu_dc @ alpha_vec) \
         + (c - prior_centers[1]) / prior_sds[1] ** 2
-    for i, dk in enumerate(_kernel_param_grads(spec, hyper, grid)):
-        grad[2 + i] = 0.5 * float(np.sum(k_inv * dk)) \
-            - 0.5 * float(alpha_vec @ dk @ alpha_vec) + theta[2 + i]
+    # kernel gradients: 0.5 * sum(W * dK/dtheta) with W = K^-1 - a a^T
+    # K^-1 in the lower half; the upper half is zero (dpotrf clean=1)
+    low_inv, _ = dpotri(chol, lower=1, overwrite_c=1)
+    wmat = low_inv + low_inv.T
+    np.fill_diagonal(wmat, np.diagonal(low_inv))
+    wmat -= alpha_vec[:, None] * alpha_vec[None, :]
+    w, _, d2, same = terms
+    w_rbf = None if rbf is None else wmat * rbf
+    w_lin = w_rbf if spec.family == "linear_times_rbf" else wmat
+    traces = {"sigma2": wmat[same].sum(), "alpha": w @ w_lin @ w,
+              "gamma": w_lin.sum()}
+    if spec.family == "linear_plus_rbf":
+        traces["beta"] = w_rbf.sum()
+    if rbf is not None:  # d(rbf)/d(rho) = rbf * d2 / rho^3, times beta or lin
+        scale = hyper.beta if spec.family == "linear_plus_rbf" else lin
+        traces["rho"] = np.sum(w_rbf * d2 * scale) / hyper.rho ** 3
+    for i, name in enumerate(_pack(spec)):
+        grad[2 + i] = 0.5 * float(traces[name]) + theta[2 + i]
     return nll, (grad if np.all(np.isfinite(grad)) else zero)
 
 
-def _neg_log_posterior(theta, spec, grid, s, prior_centers, prior_sds):
+def _neg_log_posterior(theta, *args):
     """Value of the MAP objective alone."""
-    return _neg_log_posterior_grad(theta, spec, grid, s, prior_centers,
-                                   prior_sds)[0]
+    return _neg_log_posterior_grad(theta, *args)[0]
 
 
 def fit_map(grid, s, spec, ls_init, min_spacing=None):
@@ -246,7 +252,7 @@ def fit_map(grid, s, spec, ls_init, min_spacing=None):
         start_sets.append([a0, c0] + [kern0[n] for n in names])
     start_sets.append([a0, c0] + [max(lower[n], 0.5) for n in names])
 
-    args = (spec, grid, s, prior_centers, prior_sds)
+    args = (spec, grid, s, prior_centers, prior_sds, _grid_terms(spec, grid))
     best = None
     for x0 in start_sets:
         res = minimize(_neg_log_posterior_grad, np.asarray(x0, float),
@@ -308,8 +314,7 @@ def summary_correlation(fits, columns):
         s = np.asarray(s, dtype=float)
         if len(s) != len(fit.grid):
             raise ValueError("series length does not match the fit grid")
-        sd = np.sqrt(np.array([kernel_value(fit.spec, fit.hyper, n, n)
-                               for n in fit.grid]))
+        sd = np.sqrt(np.diag(gram_matrix(fit.spec, fit.hyper, fit.grid)))
         sd[sd == 0.0] = 1.0
         resids.append((s - _mean(fit.mean_params, fit.grid)) / sd)
     r0, r1 = resids

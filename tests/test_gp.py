@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from growabc.curvefit import fit_series
-from growabc.errors import NotConverged, TooFewPoints
+from growabc.errors import NotConverged, SingularKernel, TooFewPoints
 from growabc.gp import (
     GpExtrapolator,
     GpFit,
@@ -41,6 +43,25 @@ def dense_oracle(spec, hyper, grid, s, mean_params, n_o):
     mean = a * n_o ** c + k_star @ k_inv @ resid
     var = kernel_value(spec, hyper, n_o, n_o) - k_star @ k_inv @ k_star
     return float(mean), float(var)
+
+
+def kernel_derivatives(spec, hyper, grid):
+    """d(Gram)/d(theta) for each free kernel parameter, in _pack order."""
+    from growabc.gp import _pack
+
+    x = np.asarray(grid, dtype=float)
+    w = np.sqrt(x) if spec.warp == "sqrt" else x
+    outer = np.outer(w, w)
+    d2 = (x[:, None] - x[None, :]) ** 2
+    rbf = np.exp(-d2 / (2.0 * hyper.rho ** 2))
+    drbf_drho = rbf * d2 / hyper.rho ** 3
+    grads = {"sigma2": np.eye(len(x)), "alpha": outer,
+             "gamma": np.ones_like(outer), "beta": rbf,
+             "rho": hyper.beta * drbf_drho}
+    if spec.family == "linear_times_rbf":
+        grads.update(alpha=outer * rbf, gamma=rbf,
+                     rho=(hyper.alpha * outer + hyper.gamma) * drbf_drho)
+    return [grads[name] for name in _pack(spec)]
 
 
 def manual_fit(spec, hyper, grid, s, mean_params):
@@ -126,17 +147,17 @@ class TestObjective:
         import growabc.gp as gp
 
         counts = {"gram": 0, "objective": 0}
-        gram, objective = gp.gram_matrix, gp._neg_log_posterior_grad
+        assemble, objective = gp._assemble, gp._neg_log_posterior_grad
 
-        def counted_gram(*args, **kwargs):
+        def counted_assemble(*args, **kwargs):
             counts["gram"] += 1
-            return gram(*args, **kwargs)
+            return assemble(*args, **kwargs)
 
         def counted_objective(*args):
             counts["objective"] += 1
             return objective(*args)
 
-        monkeypatch.setattr(gp, "gram_matrix", counted_gram)
+        monkeypatch.setattr(gp, "_assemble", counted_assemble)
         monkeypatch.setattr(gp, "_neg_log_posterior_grad", counted_objective)
         rng = np.random.default_rng(5)
         s = 0.4 * GRID ** 1.1 + rng.normal(0, 0.5, len(GRID))
@@ -145,6 +166,81 @@ class TestObjective:
         # plus one for the final solve that predictions reuse
         assert counts["objective"] > 0
         assert counts["gram"] == counts["objective"] + 1
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_gradient_matches_dense_oracle(self, family, warp):
+        from growabc.gp import _neg_log_posterior_grad, _pack
+
+        rng = np.random.default_rng(11)
+        spec = KernelSpec(family, warp)
+        for _ in range(5):
+            # noise at 1% of the mean prior variance keeps cond(K) < 1e5
+            hyper = random_hyper(rng, family)
+            prior_var = np.diag(gram_matrix(spec, hyper, GRID, noise=False))
+            hyper = replace(hyper, sigma2=hyper.sigma2 * prior_var.mean()
+                            / 100.0)
+            names = _pack(spec)
+            theta = np.array([rng.uniform(0.3, 0.5), rng.uniform(1.0, 1.2)]
+                             + [getattr(hyper, n) for n in names])
+            s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
+            _, grad = _neg_log_posterior_grad(theta, spec, GRID, s,
+                                              (0.4, 1.1), (1.0, 1.1))
+            k_inv = np.linalg.inv(gram_matrix(spec, hyper, GRID))
+            a = k_inv @ (s - theta[0] * GRID ** theta[1])
+            for i, dk in enumerate(kernel_derivatives(spec, hyper, GRID)):
+                trace, quad = 0.5 * np.sum(k_inv * dk), 0.5 * a @ dk @ a
+                expected = trace - quad + theta[2 + i]
+                scale = abs(trace) + abs(quad) + abs(theta[2 + i])
+                assert abs(grad[2 + i] - expected) <= 1e-8 * scale, names[i]
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_value_equals_gram_and_cho_factor(self, family, warp):
+        from scipy.linalg import cho_factor, cho_solve
+
+        from growabc.gp import _neg_log_posterior, _pack
+
+        rng = np.random.default_rng(12)
+        spec = KernelSpec(family, warp)
+        centers, sds = (0.4, 1.1), (1.0, 1.1)
+        for _ in range(10):
+            hyper = random_hyper(rng, family)
+            theta = np.array([rng.uniform(0.3, 0.5), rng.uniform(1.0, 1.2)]
+                             + [getattr(hyper, n) for n in _pack(spec)])
+            s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
+            r = s - theta[0] * GRID ** theta[1]
+            cho = cho_factor(gram_matrix(spec, hyper, GRID), lower=True)
+            nll = 0.5 * float(r @ cho_solve(cho, r)) \
+                + 0.5 * (2.0 * np.sum(np.log(np.diag(cho[0])))) \
+                + 0.5 * len(GRID) * np.log(2.0 * np.pi)
+            for v, c0, sd in zip(theta[:2], centers, sds):
+                nll += 0.5 * ((v - c0) / sd) ** 2
+            for v in theta[2:]:
+                nll += 0.5 * v * v
+            assert _neg_log_posterior(theta, spec, GRID, s, centers,
+                                      sds) == nll
+
+    def test_non_finite_gram_is_a_failed_evaluation(self):
+        # alpha=1e305 overflows the linear part of the Gram to inf; the
+        # Cholesky used to raise ValueError out of the optimizer
+        from growabc.gp import _chol_with_jitter, _neg_log_posterior_grad
+
+        grid = np.linspace(35, 500, 94)
+        theta = np.array([0.4, 1.1, 1e305, 0.4, 1.5, 40.0, 0.8])
+        value, grad = _neg_log_posterior_grad(
+            theta, KernelSpec("linear_plus_rbf", "identity"), grid,
+            0.4 * grid ** 1.1, (0.4, 1.1), (1.0, 1.1))
+        assert value == 1e30
+        assert np.array_equal(grad, np.zeros_like(theta))
+        # the factorization reads the lower triangle only; an inf in the
+        # upper one must still be refused
+        k = np.eye(4)
+        k[0, 3] = np.inf
+        with pytest.raises(SingularKernel):
+            _chol_with_jitter(k)
 
 
 class TestFitMap:
@@ -323,6 +419,25 @@ class TestSummaryCorrelation:
             b = rng.normal(0, 1, len(GRID))
             result = summary_correlation(self._fit_pair(a, b), [a, b])
             assert abs(result.value) < 0.35
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_standardization_matches_kernel_value(self, family, warp):
+        # residuals are standardized by the Gram's diagonal on the grid;
+        # the result must equal the one from per-point kernel_value sds
+        rng = np.random.default_rng(13)
+        spec = KernelSpec(family, warp)
+        for _ in range(10):
+            hyper = random_hyper(rng, family)
+            s1, s2 = rng.normal(0, 1, (2, len(GRID)))
+            fits = [manual_fit(spec, hyper, GRID, s, (0.5, 1.0))
+                    for s in (s1, s2)]
+            sd = np.sqrt([kernel_value(spec, hyper, n, n) for n in GRID])
+            mean = 0.5 * GRID ** 1.0
+            expected = np.corrcoef((s1 - mean) / sd, (s2 - mean) / sd)[0, 1]
+            result = summary_correlation(fits, [s1, s2])
+            assert result.value == min(1.0, max(-1.0, float(expected)))
 
     def test_degenerate_residuals(self):
         s = np.zeros(len(GRID))
