@@ -28,14 +28,6 @@ def _add_common(parser):
                         help="output directory for artifacts")
 
 
-def _config(args):
-    if args.config:
-        return load_config(args.config, args.overrides)
-    from .config import RunConfig, apply_overrides
-
-    return apply_overrides(RunConfig(), args.overrides)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="growabc",
@@ -83,7 +75,7 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    cfg = _config(args)
+    cfg = load_config(args.config, args.overrides)
     os.makedirs(args.out, exist_ok=True)
 
     if args.command == "seed-gen":

@@ -1,19 +1,36 @@
 """Run configuration: a flat key=value text file mirroring the
-RunConfig fields, plus command-line overrides."""
+RunConfig fields, plus command-line overrides.
+
+This module alone decides which settings are valid: a key's type comes
+from its RunConfig annotation (``none`` or an empty value only for an
+Optional field), ``_CHOICES`` lists the values of the string-valued keys,
+and ``RunConfig.validate`` refuses a config whose entries cannot be built.
+"""
 
 import hashlib
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
+from . import curvefit, gp
 from .errors import ConfigError
+from .models import DmcParams, PriceParams
 from .rejection import PriorBox
-from .summaries import SummarySpec
+from .summaries import DIRECTED_KINDS, SAMPLED_KINDS, SummarySpec
 
 METHODS = ("S", "LS", "GPa", "GPb", "GPc", "RE")
 # methods whose table rows carry GP predictive variances and correlation
 GP_METHODS = ("GPa", "GPb", "GPc")
 # methods that accept by GP predictive density; the rest by distance
 DENSITY_METHODS = ("GPa", "GPb")
+
+# the allowed values of the string-valued keys
+_CHOICES = {
+    "model": ("dmc", "price"),
+    "method": METHODS,
+    "seed_type": ("er", "edgelist"),
+    "kernel": gp.KERNEL_FAMILIES,
+    "standardization": ("extrapolated", "auxiliary"),
+}
 
 # fields that never influence results, excluded from the config hash
 _NON_SEMANTIC = ("workers", "timing_reps")
@@ -53,128 +70,134 @@ class RunConfig:
     timing_reps: int = 3
 
     def validate(self):
-        if self.model not in ("dmc", "price"):
-            raise ConfigError("model must be dmc or price")
-        if self.method not in METHODS:
-            raise ConfigError("method must be one of %s" % (METHODS,))
-        if self.n_s > self.n_o:
-            raise ConfigError("n_s must be <= n_o")
-        if len(self.prior_low) != len(self.prior_high):
-            raise ConfigError("prior bounds differ in length")
-        sampled = any(s.kind == "sample_triangle_count"
-                      for s in self.summary_specs())
-        if self.method == "RE" and not sampled:
-            raise ConfigError(
-                "method RE needs a sample_triangle_count summary")
-        if not self.checkpoints() and self.method != "S":
-            raise ConfigError("checkpoint grid is empty")
-        # a sampled summary is first evaluated at n_o (method S) or at
-        # the first checkpoint, and cannot sample more nodes than exist
-        first = self.n_o if self.method == "S" else self.checkpoints()[0]
-        if sampled and self.n_star > first:
-            raise ConfigError(
-                "n_star=%d exceeds the %d nodes where the sampled "
-                "summary is first evaluated" % (self.n_star, first))
+        """Raise ConfigError unless every entry of the run can be built.
+        Only field values are read, so no network is grown first."""
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError("%s must be one of %s, not %r"
+                                  % (name, allowed, getattr(self, name)))
+        try:
+            kinds = {spec.kind for spec in self.summary_specs()}
+            cps = self.checkpoints()
+            self.prior_box()
+            for theta in (self.prior_low, self.prior_high,
+                          *self.truth_list()):
+                self.growth_params(theta)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        sampled = bool(kinds & set(SAMPLED_KINDS))
+        # checkpoints a fit needs: one per parameter of an LS family
+        if self.method == "S":
+            need = 0
+        elif self.method in GP_METHODS:
+            need = gp.MIN_CHECKPOINTS
+        else:
+            need = max(len(curvefit.PARAM_NAMES[
+                curvefit.DEFAULT_FAMILY_BY_KIND[kind]]) for kind in kinds)
+        # summaries are first evaluated at n_o (method S) or at the first
+        # checkpoint; the seed must be smaller, and n_star no larger
+        first = self.n_o if self.method == "S" or not cps else cps[0]
+        for bad, reason in (
+                (self.n_s > self.n_o, "n_s must be <= n_o"),
+                (self.method == "RE" and not sampled,
+                 "method RE needs a sample_triangle_count summary"),
+                (self.model == "dmc" and kinds & set(DIRECTED_KINDS),
+                 "in-degree summaries need model=price"),
+                (self.seed_type == "edgelist" and not self.seed_path,
+                 "seed_type=edgelist needs seed_path"),
+                (len(cps) < need, "method %s needs at least %d checkpoints, "
+                 "not %d" % (self.method, need, len(cps))),
+                (sampled and self.n_star > first,
+                 "n_star=%d exceeds the %d nodes where the sampled "
+                 "summary is first evaluated" % (self.n_star, first)),
+                (self.seed_type == "er" and self.seed_n >= first,
+                 "seed_n=%d is not below the %d nodes where summaries "
+                 "are first evaluated" % (self.seed_n, first))):
+            if bad:
+                raise ConfigError(reason)
         return self
 
     def theta_names(self):
         return ("q_m", "q_c") if self.model == "dmc" else ("k0", "p")
 
+    def growth_params(self, theta):
+        """Growth-model parameters for one parameter vector."""
+        if self.model == "dmc":
+            return DmcParams(*theta)
+        return PriceParams(*theta, out_cap=self.out_cap)
+
     def prior_box(self):
         return PriorBox(tuple(self.prior_low), tuple(self.prior_high))
 
     def checkpoints(self):
-        stop = self.checkpoint_stop or self.n_s
-        stop = min(stop, self.n_s)
+        stop = min(self.checkpoint_stop or self.n_s, self.n_s)
         return tuple(range(self.checkpoint_start, stop + 1,
                            self.checkpoint_step))
 
     def summary_specs(self):
-        specs = []
-        for kind in self.summaries.split(","):
-            kind = kind.strip()
-            if not kind:
-                continue
-            if kind == "sample_triangle_count":
-                specs.append(SummarySpec(kind, n_star=self.n_star,
-                                         replicates=self.replicates))
-            else:
-                specs.append(SummarySpec(kind))
-        if not specs:
+        kinds = [k.strip() for k in self.summaries.split(",") if k.strip()]
+        if not kinds:
             raise ConfigError("no summaries configured")
-        return tuple(specs)
+        return tuple(SummarySpec(kind, n_star=self.n_star,
+                                 replicates=self.replicates)
+                     if kind in SAMPLED_KINDS else SummarySpec(kind)
+                     for kind in kinds)
 
     def truth_list(self):
-        truths = []
-        for chunk in self.truths.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != len(self.prior_low):
+        chunks = [c.strip() for c in self.truths.split(";") if c.strip()]
+        for chunk in chunks:
+            if chunk.count(":") + 1 != len(self.prior_low):
                 raise ConfigError("truth %r has wrong dimension" % (chunk,))
-            truths.append(tuple(float(p) for p in parts))
-        return truths
+        return [tuple(float(p) for p in c.split(":")) for c in chunks]
 
 
-_TUPLE_KEYS = ("prior_low", "prior_high")
-_INT_KEYS = (
-    "seed_n", "seed_rng", "seed_cutoff", "n_s", "n_o", "checkpoint_start",
-    "checkpoint_stop", "checkpoint_step", "n_star", "replicates",
-    "table_size", "accept_k", "aux_count", "master_seed", "exp_replicates",
-    "out_cap", "workers", "timing_reps",
-)
-_FLOAT_KEYS = ("seed_p", "inflate")
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_TYPES = get_type_hints(RunConfig)
 
 
 def _coerce(name, raw):
-    if name not in _KNOWN_KEYS:
+    if name not in _TYPES:
         raise ConfigError("unknown config key %r" % (name,))
-    raw = raw.strip()
+    kind, raw = _TYPES[name], raw.strip()
+    optional = type(None) in get_args(kind)
     if raw.lower() in ("none", ""):
-        return None
+        if optional:
+            return None
+        raise ConfigError("%s needs a value" % (name,))
+    if optional:
+        kind = get_args(kind)[0]
     try:
-        if name in _TUPLE_KEYS:
+        if kind is tuple:
             return tuple(float(v) for v in raw.split(","))
-        if name in _INT_KEYS:
-            return int(raw)
-        if name in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError("bad value for %s: %r" % (name, raw)) from exc
-    return raw
-
-
-def parse_config_text(text):
-    cfg = RunConfig()
-    updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value" % lineno)
-        key, raw = line.split("=", 1)
-        updates[key.strip()] = _coerce(key.strip(), raw)
-    return replace(cfg, **updates)
-
-
-def load_config(path, overrides=()):
-    """Read a config file and apply ``key=value`` override strings."""
-    with open(path) as fh:
-        cfg = parse_config_text(fh.read())
-    return apply_overrides(cfg, overrides)
 
 
 def apply_overrides(cfg, overrides):
+    """Apply ``key=value`` strings to a config; a later key wins."""
     updates = {}
     for item in overrides:
         if "=" not in item:
-            raise ConfigError("override %r is not key=value" % (item,))
+            raise ConfigError("%r is not key=value" % (item,))
         key, raw = item.split("=", 1)
         updates[key.strip()] = _coerce(key.strip(), raw)
     return replace(cfg, **updates) if updates else cfg
+
+
+def parse_config_text(text):
+    """A config from ``key = value`` lines; ``#`` starts a comment."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return apply_overrides(RunConfig(), [line for line in lines if line])
+
+
+def load_config(path=None, overrides=()):
+    """The config file at ``path`` (the defaults if None), then the
+    ``key=value`` override strings."""
+    text = ""
+    if path is not None:
+        with open(path) as fh:
+            text = fh.read()
+    return apply_overrides(parse_config_text(text), overrides)
 
 
 def config_hash(cfg):

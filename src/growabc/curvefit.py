@@ -34,7 +34,7 @@ EULER_GAMMA = float(np.euler_gamma)
 
 FAMILIES = ("power", "power_offset", "inverse", "digamma")
 
-_PARAM_NAMES = {
+PARAM_NAMES = {
     "power": ("a", "c"),
     "power_offset": ("a", "c", "d"),
     "inverse": ("a", "c"),
@@ -225,7 +225,7 @@ def fit_series(n, s, family):
     s = np.asarray(s, dtype=float)
     if not (np.all(np.isfinite(n)) and np.all(np.isfinite(s))):
         raise NonFiniteInput("series contains non-finite values")
-    n_params = len(_PARAM_NAMES[family])
+    n_params = len(PARAM_NAMES[family])
     if len(np.unique(n)) < n_params:
         raise TooFewPoints(
             "%d distinct points < %d parameters" % (len(np.unique(n)),

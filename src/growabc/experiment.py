@@ -34,8 +34,6 @@ def compute_sds(cfg, entries):
     values or from auxiliary full-size simulations."""
     if cfg.standardization == "extrapolated":
         return standardization_sds([e.ext_summaries for e in entries]).sds
-    if cfg.standardization != "auxiliary":
-        raise ConfigError("standardization must be extrapolated or auxiliary")
     vectors = []
     for i in range(cfg.aux_count):
         seed_val = mix_seed(cfg.master_seed, AUX_OFFSET + i)
@@ -164,12 +162,12 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
 
     names = cfg.theta_names()
     post_path = os.path.join(out_dir, "posterior.csv")
-    by_theta = {e.theta: e.entry_id for e in entries}
     with open(post_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "entry_id"] + list(names) + ["score"])
-        for rank, (theta, score) in enumerate(posterior.accepted, start=1):
-            writer.writerow([str(rank), str(by_theta[theta])]
+        for rank, ((theta, score), entry_id) in enumerate(
+                zip(posterior.accepted, posterior.entry_ids), start=1):
+            writer.writerow([str(rank), str(entry_id)]
                             + [repr(float(t)) for t in theta]
                             + [repr(float(score))])
     stats = posterior_stats(posterior, truth=truth)

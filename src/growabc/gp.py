@@ -26,6 +26,7 @@ KERNEL_FAMILIES = ("linear_plus_rbf", "linear_only", "linear_times_rbf")
 WARPS = ("sqrt", "identity")
 
 ALPHA_MIN = 0.05
+MIN_CHECKPOINTS = 5  # fewest grid points fit_map accepts
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
 
@@ -221,16 +222,16 @@ def _neg_log_posterior(theta, *args):
     return _neg_log_posterior_grad(theta, *args)[0]
 
 
-def fit_map(grid, s, spec, ls_init, min_spacing=None):
+def fit_map(grid, s, spec, ls_init):
     """MAP estimate of mean and kernel parameters for one series."""
     grid = np.asarray(grid, dtype=float)
     s = np.asarray(s, dtype=float)
-    if len(grid) < 5:
-        raise TooFewPoints("GP fitting needs at least 5 checkpoints")
+    if len(grid) < MIN_CHECKPOINTS:
+        raise TooFewPoints("GP fitting needs at least %d checkpoints"
+                           % MIN_CHECKPOINTS)
     if not ls_init.converged:
         raise NotConverged("least-squares initialization did not converge")
-    if min_spacing is None:
-        min_spacing = float(np.min(np.diff(np.sort(grid))))
+    min_spacing = float(np.min(np.diff(np.sort(grid))))
 
     a0, c0 = ls_init.form.params[:2]
     prior_centers = (a0, c0)

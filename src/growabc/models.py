@@ -116,9 +116,8 @@ def price_step(g, params, rng):
         g.add_edge(u, t)
 
 
-def _grow(seed, step, plan, rng, theta, entry_id, rng_seed):
-    seed_size = seed.node_count
-    plan.validate(seed_size)
+def _grow(seed, step, plan, rng):
+    plan.validate(seed.node_count)
     g = seed.copy()
     cps = set(plan.checkpoints)
     rows = []
@@ -130,34 +129,27 @@ def _grow(seed, step, plan, rng, theta, entry_id, rng_seed):
     if values.size == 0:
         values = values.reshape(0, len(plan.summaries))
     return TrackedSeries(
-        entry_id=entry_id,
-        rng_seed=rng_seed,
-        theta=tuple(theta),
         checkpoints=tuple(plan.checkpoints),
         values=values,
         summary_names=tuple(s.name for s in plan.summaries),
     ), g
 
 
-def grow_dmc(seed, params, plan, rng, entry_id=0, rng_seed=0,
-             return_graph=False):
+def grow_dmc(seed, params, plan, rng, return_graph=False):
     """Grow an undirected seed with the DMC model, tracking summaries
     at the plan's checkpoints. Deterministic given the rng stream."""
     if seed.directed:
         raise PlanInvalid("DMC growth needs an undirected seed")
-    series, g = _grow(seed, lambda g_, r: dmc_step(g_, params, r), plan, rng,
-                      (params.q_m, params.q_c), entry_id, rng_seed)
+    series, g = _grow(seed, lambda g_, r: dmc_step(g_, params, r), plan, rng)
     return (series, g) if return_graph else series
 
 
-def grow_price(seed, params, plan, rng, entry_id=0, rng_seed=0,
-               return_graph=False):
+def grow_price(seed, params, plan, rng, return_graph=False):
     """Grow a directed seed with the Price model; new edges point from
     the new node to existing nodes, never duplicated."""
     if not seed.directed:
         raise PlanInvalid("Price growth needs a directed seed")
-    series, g = _grow(seed, lambda g_, r: price_step(g_, params, r), plan, rng,
-                      (params.k0, params.p), entry_id, rng_seed)
+    series, g = _grow(seed, lambda g_, r: price_step(g_, params, r), plan, rng)
     return (series, g) if return_graph else series
 
 

@@ -55,6 +55,7 @@ class AbcPosterior:
     method: str
     k: int
     zero_density_fills: int = 0
+    entry_ids: tuple = ()  # of the accepted entries, in the same order
 
     def thetas(self):
         return np.array([t for t, _ in self.accepted], dtype=float)
@@ -103,8 +104,10 @@ def accept_top_k_distance(table, observed, sds, k, method="LS"):
         ((std_euclidean(e.ext_summaries, observed, sds), e.entry_id, e)
          for e in table),
         key=lambda t: (t[0], t[1]))
-    accepted = [(e.theta, dist) for dist, _, e in scored[:k]]
-    return AbcPosterior(accepted=accepted, method=method, k=k)
+    top = scored[:k]
+    return AbcPosterior(accepted=[(e.theta, dist) for dist, _, e in top],
+                        method=method, k=k,
+                        entry_ids=tuple([i for _, i, _ in top]))
 
 
 def bivariate_density(mean, variances, corr, observed, inflate=1.0):
@@ -144,15 +147,15 @@ def accept_top_k_density(table, observed, k, inflate, rng, method="GPa"):
     ]
     positive = sorted(((d, e) for d, e in densities if d > 0.0),
                       key=lambda t: (-t[0], t[1].entry_id))
-    accepted = [(e.theta, d) for d, e in positive[:k]]
-    fills = 0
-    if len(accepted) < k:
+    picked = [(e, d) for d, e in positive[:k]]
+    fills = k - len(picked)
+    if fills:
         zeros = [e for d, e in densities if d == 0.0]
-        fills = k - len(accepted)
         picks = rng.choice(len(zeros), size=fills, replace=False)
-        accepted.extend((zeros[int(i)].theta, 0.0) for i in picks)
-    return AbcPosterior(accepted=accepted, method=method, k=k,
-                        zero_density_fills=fills)
+        picked.extend((zeros[int(i)], 0.0) for i in picks)
+    return AbcPosterior(accepted=[(e.theta, d) for e, d in picked],
+                        method=method, k=k, zero_density_fills=fills,
+                        entry_ids=tuple(e.entry_id for e, _ in picked))
 
 
 def posterior_stats(posterior, truth=None):

@@ -51,9 +51,6 @@ class SummarySpec:
 class TrackedSeries:
     """Per-realization summary values at the checkpoint node counts."""
 
-    entry_id: int
-    rng_seed: int
-    theta: tuple
     checkpoints: tuple
     values: np.ndarray  # shape (len(checkpoints), n_summaries)
     summary_names: tuple = field(default_factory=tuple)

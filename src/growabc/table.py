@@ -3,13 +3,15 @@
 One row per prior draw: the parameters, the per-entry RNG seed, and the
 extrapolated (or, for method S, exact) summary values at n_o; GP-based
 methods additionally store predictive variances and the inter-summary
-correlation; a failed entry writes nan values and ``failed=1``. Rows are
-written incrementally and builds are resumable by entry id, guarded by a
-config hash in the header comment. Resuming cuts off a last row without
-its newline (a build killed mid-write), and reading refuses a row whose
-field count differs from the header's. A config whose sampled summary
-could never be evaluated (``n_star`` above the first checkpoint, or above
-n_o for method S) is refused before any entry is built.
+correlation. An entry fails only when its fit does (``NotConverged``,
+``SingularKernel`` or ``OverflowError``): it then writes nan values and
+``failed=1``. Any other exception stops the build, and
+``RunConfig.validate`` refuses an invalid config before any entry is
+built; an edge-list seed file is read, and so checked, by the first
+entry. Rows are written incrementally and builds are resumable by entry
+id, guarded by a config hash in the header comment. Resuming cuts off a
+last row without its newline (a build killed mid-write), and reading
+refuses a row whose field count differs from the header's.
 """
 
 import csv
@@ -20,17 +22,10 @@ import numpy as np
 
 from . import curvefit, gp
 from .config import GP_METHODS, config_hash
-from .errors import ConfigError
+from .errors import ConfigError, NotConverged, SingularKernel
 from .graph import er_seed
 from .ingest import read_edge_list, seed_subgraph
-from .models import (
-    DmcParams,
-    GrowthPlan,
-    PriceParams,
-    directed_seed,
-    grow_dmc,
-    grow_price,
-)
+from .models import GrowthPlan, directed_seed, grow_dmc, grow_price
 from .pool import pool_map
 from .rejection import ReferenceTableEntry, draw_prior
 from .seeding import mix_seed
@@ -39,8 +34,6 @@ from .summaries import evaluate
 
 def build_seed_graph(cfg):
     if cfg.seed_type == "edgelist":
-        if not cfg.seed_path:
-            raise ConfigError("seed_type=edgelist needs seed_path")
         g, node_ts = read_edge_list(cfg.seed_path,
                                     directed=cfg.model == "price")
         if cfg.seed_cutoff is None:
@@ -51,21 +44,14 @@ def build_seed_graph(cfg):
     return er_seed(cfg.seed_n, cfg.seed_p, cfg.seed_rng)
 
 
-def _make_params(cfg, theta):
-    if cfg.model == "dmc":
-        return DmcParams(q_m=theta[0], q_c=theta[1])
-    return PriceParams(k0=theta[0], p=theta[1], out_cap=cfg.out_cap)
-
-
 def grow_to(cfg, theta, rng, n_target, checkpoints, specs):
     """Grow the configured model to n_target, tracking the given
     summaries; returns (TrackedSeries, final graph)."""
     seed = build_seed_graph(cfg)
     plan = GrowthPlan(n_target=n_target, checkpoints=tuple(checkpoints),
                       summaries=tuple(specs))
-    params = _make_params(cfg, theta)
     grow = grow_dmc if cfg.model == "dmc" else grow_price
-    return grow(seed, params, plan, rng, return_graph=True)
+    return grow(seed, cfg.growth_params(theta), plan, rng, return_graph=True)
 
 
 def simulate_observed(cfg, theta, rng):
@@ -119,7 +105,8 @@ def _build_entry(args):
     try:
         ext, gpvars, gpcorr = _entry_values(cfg, theta, rng)
         return (entry_id, seed_val, theta, ext, gpvars, gpcorr, False)
-    except Exception:
+    except (NotConverged, SingularKernel, OverflowError):
+        # only a fit fails an entry; any other fault stops the build
         nans = (math.nan,) * len(cfg.summary_specs())
         return (entry_id, seed_val, theta, nans, nans, math.nan, True)
 

@@ -140,6 +140,11 @@ class TestTopKDistance:
         post = accept_top_k_distance(table, (5.0, 5.0), (1.0, 1.0), k=2)
         assert [t for t, _ in post.accepted] == [(3.0, 0.0), (7.0, 0.0)]
 
+    def test_entry_ids_of_equal_thetas(self):
+        table = [entry(i, (0.5, 0.5), (float(i), 0.0)) for i in (4, 2, 8)]
+        post = accept_top_k_distance(table, (7.0, 0.0), (1.0, 1.0), k=3)
+        assert post.entry_ids == (8, 4, 2)
+
 
 class TestBivariateDensity:
     def test_standard_normal_at_mean(self):
@@ -240,6 +245,22 @@ class TestTopKDensity:
                                     rng=np.random.default_rng(7))
         assert tight.zero_density_fills > 0
         assert wide.zero_density_fills < tight.zero_density_fills
+
+    def test_entry_ids_follow_accepted_order(self):
+        # equal thetas; the fills are drawn from the zero-density entries
+        table = [entry(i, (0.5, 0.5), (10.0 + 100.0 * i, 10.0), (1.0, 1.0),
+                       0.0) for i in range(6)]
+        post = accept_top_k_density(table, (110.0, 10.0), k=4, inflate=1.0,
+                                    rng=np.random.default_rng(0))
+        assert post.zero_density_fills == 3
+        assert post.entry_ids[0] == 1
+        assert len(set(post.entry_ids)) == 4
+        by_id = {e.entry_id: e for e in table}
+        for (theta, score), i in zip(post.accepted, post.entry_ids):
+            assert theta == by_id[i].theta
+            assert score == (bivariate_density(
+                by_id[i].ext_summaries, (1.0, 1.0), 0.0, (110.0, 10.0))
+                if i == 1 else 0.0)
 
     def test_missing_gp_fields(self):
         table = [entry(0, (0.5, 0.5), (1.0, 1.0))]

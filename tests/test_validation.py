@@ -1,0 +1,120 @@
+"""Configs are refused up front, and an entry fails only when its fit
+does. Each refused config below used to pass ``validate`` and then fail
+every entry, grow from the wrong seed, fail after the table was built,
+or raise TypeError."""
+
+import csv
+import json
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from growabc import table
+from growabc.config import RunConfig, apply_overrides
+from growabc.errors import ConfigError
+from growabc.experiment import abc_run
+from growabc.rejection import standardization_sds, std_euclidean
+from growabc.table import build_reference_table, load_reference_table
+
+BASE = dict(n_s=60, n_o=80, table_size=4, workers=1)
+
+# override strings on BASE; {tmp} is the test's scratch directory
+PROBES = {
+    "kernel_typo": ["method=GPa", "kernel=linear_plus_rbff"],
+    "in_degree_with_dmc": ["summaries=avg_degree,in_degree_mean"],
+    "edgelist_without_path": ["seed_type=edgelist"],
+    "edgelist_missing_file": ["seed_type=edgelist",
+                              "seed_path={tmp}/missing.edges"],
+    "first_checkpoint_below_seed": ["checkpoint_start=20"],
+    "seed_above_n_s": ["seed_n=70"],
+    "gp_with_four_checkpoints": ["method=GPa", "n_s=50"],
+    "seed_type_typo": ["seed_type=edgelst"],
+    "standardization_typo": ["standardization=auxilliary"],
+    "truth_of_wrong_dimension": ["truths=0.25"],
+    "empty_n_s": ["n_s="],
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_probed_config_fails_before_any_entry(tmp_path, monkeypatch, name):
+    # only an edge-list file is read by the entries: the first one raises
+    # and no data row is written
+    missing_file = name == "edgelist_missing_file"
+    built, build_entry = [], table._build_entry
+    monkeypatch.setattr(table, "_build_entry",
+                        lambda job: built.append(job[1]) or build_entry(job))
+    path = tmp_path / "table.csv"
+    with pytest.raises(FileNotFoundError if missing_file else ConfigError):
+        cfg = apply_overrides(RunConfig(**BASE), [
+            item.format(tmp=tmp_path) for item in PROBES[name]])
+        build_reference_table(cfg, str(path))
+    assert built == ([1] if missing_file else [])
+    if path.exists():
+        assert len(path.read_text().splitlines()) == 2  # hash + header
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(prior_high=(1.5, 0.9)),
+    dict(truths="0.25:1.5"),
+    dict(model="price", prior_low=(0.0, 0.001), prior_high=(5.0, 0.01),
+         summaries="in_degree_mean", truths="2.5:0.005"),
+    dict(checkpoint_start=55, summaries="avg_degree,sample_triangle_count",
+         n_star=35),
+], ids=["q_m_above_one", "truth_outside_model", "k0_zero",
+        "fewer_checkpoints_than_ls_parameters"])
+def test_other_invalid_configs_are_refused_up_front(tmp_path, overrides):
+    cfg = RunConfig(**dict(BASE, **overrides))
+    with pytest.raises(ConfigError):
+        build_reference_table(cfg, str(tmp_path / "table.csv"))
+    assert not (tmp_path / "table.csv").exists()
+
+
+def _default_text(value):
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_every_default_round_trips_through_its_text(name):
+    text = _default_text(getattr(RunConfig(), name))
+    assert apply_overrides(RunConfig(), ["%s=%s" % (name, text)]) \
+        == RunConfig()
+
+
+def test_fit_failures_are_still_recorded(tmp_path):
+    # digamma fits of in_degree_variance run off and do not converge on
+    # entries 4 and 8; those entries fail, the build goes on
+    cfg = RunConfig(model="price", prior_low=(0.5, 0.001),
+                    prior_high=(5.0, 0.01),
+                    summaries="in_degree_mean,in_degree_variance",
+                    n_s=300, checkpoint_start=40, n_o=4000, table_size=8,
+                    master_seed=0, workers=1)
+    path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(path))
+    rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+    assert [int(r["entry_id"]) for r in rows if r["failed"] == "1"] == [4, 8]
+
+
+def test_posterior_ids_of_equal_thetas(tmp_path):
+    # with a point prior every entry has the same theta; posterior.csv
+    # used to map all accepted thetas back to one entry id (6)
+    cfg = RunConfig(n_s=60, n_o=80, table_size=6, accept_k=3, workers=1,
+                    prior_low=(0.25, 0.5), prior_high=(0.25, 0.5))
+    table_path = str(tmp_path / "table.csv")
+    posterior = abc_run(cfg, table_path, str(tmp_path / "run"))
+    with open(tmp_path / "run" / "posterior.csv") as fh:
+        ids = [int(r["entry_id"]) for r in csv.DictReader(fh)]
+    entries, _, _ = load_reference_table(table_path)
+    sds = standardization_sds([e.ext_summaries for e in entries]).sds
+    with open(tmp_path / "run" / "stats.json") as fh:
+        observed = np.asarray(json.load(fh)["observed"])
+    nearest = sorted(entries, key=lambda e: (
+        std_euclidean(e.ext_summaries, observed, sds), e.entry_id))
+    assert ids == [e.entry_id for e in nearest[:3]]
+    assert list(posterior.entry_ids) == ids
+    assert len(set(ids)) == 3
+
