@@ -1,38 +1,29 @@
 """Per-realization functional-form fits on the linear scale and their
 evaluation at larger network sizes.
 
-Families:
-  power:         a * n**c
-  power_offset:  a * n**c + d
-  inverse:       a / n + c
-  digamma:       (euler_gamma + digamma(a*n + 1))**c + d
+  family         form                                       nonlinear
+  power          a * n**c                                   c
+  power_offset   a * n**c + d                               c
+  inverse        a / n + c                                  -
+  digamma        (euler_gamma + digamma(a*n + 1))**c + d    log a, c
 
-The objective is the plain sum of squared errors (SSE) in original units
-(not log-log), and every fit is deterministic (no RNG):
-
-- power, power_offset: variable projection (Golub & Pereyra, 1973). The
-  amplitude ``a`` and the offset ``d`` enter linearly, so at each exponent
-  ``c`` of a fixed grid they are solved in closed form and the SSE profile
-  over ``c`` is read off. From the grid minimum, damped Gauss-Newton with
-  the analytic Jacobian polishes the fit; the linear parameters are
-  re-solved at every trial exponent.
-- inverse: linear in both parameters, one ``lstsq`` solve.
-- digamma: ``a`` sits inside the nonlinearity, so ``scipy.optimize
-  .least_squares`` runs from a deterministic multi-start grid.
+One deterministic routine minimises the sum of squared errors (SSE) in
+original units by variable projection (Golub & Pereyra, 1973): the other
+parameters enter linearly and are solved in closed form, so the SSE
+profile is scanned on a grid of the nonlinear ones and its lowest local
+minima are polished. ``log a`` keeps the digamma ``a`` positive. The
+inverse fit is the power_offset solve at ``c = -1``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import digamma as psi0
-from scipy.special import polygamma
+from scipy.special import polygamma, zeta
 
 from .errors import NonFiniteInput, NotConverged, TooFewPoints
 
 EULER_GAMMA = float(np.euler_gamma)
-
-FAMILIES = ("power", "power_offset", "inverse", "digamma")
 
 PARAM_NAMES = {
     "power": ("a", "c"),
@@ -41,20 +32,24 @@ PARAM_NAMES = {
     "digamma": ("a", "c", "d"),
 }
 
-# Power families: exponent grid of the profile scan (step 0.05, with an
-# exact 0), and the Gauss-Newton polish's limits. The polish stops when
-# its step would remove at most a _GTOL**2 share of the SSE, or move the
-# fitted values by at most _EPS_FIT times the norm of the series.
+# Scan grids. Power families: c at step 0.05, with an exact 0. Digamma,
+# whose profile has several basins and narrow ridges: log a in tenths of
+# a decade over [1e-9, 1e3] by c at step 0.01 over [-1, 4].
 _C_GRID = np.arange(-60, 81) / 20.0
+_DIGAMMA_LOG_A = np.arange(-90, 31) / 10.0 * np.log(10.0)
+_DIGAMMA_C = np.arange(-100, 401) / 100.0
+# per family: the nonlinear parameters' positions, and the starts polished
+_SEARCH = {"power": ([1], 1), "power_offset": ([1], 1), "digamma": ([0, 1], 3)}
+# The polish stops when its step would remove at most a _GTOL**2 share
+# of the SSE, or move the fitted values by at most _EPS_FIT times the
+# norm of the series.
 _GTOL = 1e-7
 _EPS_FIT = 1e-14
 _MAX_ITER = 100
 _MIN_STEP = 2.0 ** -30
-
-# Digamma multi-start grid over (a, c); a log-spaced, c linear.
-_A_GRID = np.logspace(-3, 3, 5)
-_C_STARTS = np.linspace(0.1, 3.0, 5)
-_N_REFINE = 3  # optimizer runs from the best grid points by initial SSE
+_FD_STEP = 1e-6
+# Taylor coefficients of euler_gamma + digamma(1 + x), highest first
+_H_SERIES = [(-1.0) ** k * zeta(k) for k in range(9, 1, -1)] + [0.0]
 
 
 @dataclass(frozen=True)
@@ -73,6 +68,13 @@ class LsFit:
     converged: bool
 
 
+def _digamma_h(x):
+    """``euler_gamma + digamma(x + 1)``; the sum cancels for small ``x``,
+    where its Taylor series is summed instead."""
+    series = np.polyval(_H_SERIES, np.minimum(x, 0.01))
+    return np.where(x < 0.01, series, EULER_GAMMA + psi0(x + 1.0))
+
+
 def evaluate_form(family, params, n):
     n = np.asarray(n, dtype=float)
     if family == "power":
@@ -86,45 +88,29 @@ def evaluate_form(family, params, n):
         return a / n + c
     if family == "digamma":
         a, c, d = params
-        h = EULER_GAMMA + psi0(a * n + 1.0)
-        return h ** c + d
+        return _digamma_h(a * n) ** c + d
     raise ValueError("unknown family %r" % (family,))
 
 
 def _jacobian(family, params, n):
-    n = np.asarray(n, dtype=float)
-    if family == "power":
-        a, c = params
-        nc = n ** c
-        return np.column_stack([nc, a * nc * np.log(n)])
-    if family == "power_offset":
-        a, c, d = params
-        nc = n ** c
-        return np.column_stack([nc, a * nc * np.log(n), np.ones_like(n)])
-    if family == "inverse":
-        return np.column_stack([1.0 / n, np.ones_like(n)])
+    """Jacobian in the search coordinates (digamma: ``log a``)."""
     if family == "digamma":
         a, c, d = params
-        h = EULER_GAMMA + psi0(a * n + 1.0)
-        dh_da = polygamma(1, a * n + 1.0) * n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_dc = np.where(h > 0, h ** c * np.log(h), 0.0)
-        return np.column_stack([c * h ** (c - 1.0) * dh_da,
-                                d_dc, np.ones_like(n)])
-    raise ValueError("unknown family %r" % (family,))
+        h = _digamma_h(a * n)
+        dh_dlog_a = polygamma(1, a * n + 1.0) * a * n
+        return np.column_stack([c * h ** (c - 1.0) * dh_dlog_a,
+                                h ** c * np.log(h), np.ones_like(n)])
+    nc = n ** params[1]
+    return np.column_stack([nc, params[0] * nc * np.log(n)]
+                           + [np.ones_like(n)] * (len(params) - 2))
 
 
 def _power_profile(n, s, cs, with_offset):
-    """Linear parameters and SSE of the power family at each exponent.
-
-    For every ``c`` in ``cs`` the amplitude ``a`` (and, with the offset,
-    ``d``) is the closed-form least-squares solution on the basis
-    ``[n**c]`` (``[n**c, 1]``). Returns arrays ``(a, d, sse)``; an
-    exponent whose basis or fit is not finite scores ``sse = inf``.
-    The offset basis is rank-deficient at ``c = 0``, where the fit is
-    the constant ``d = mean(s)`` with ``a = 0``. Callers hold the
-    ``np.errstate`` that silences overflow at extreme exponents.
-    """
+    """Closed-form ``(a, d, sse)`` of the power family on the basis
+    ``[n**c]`` (``[n**c, 1]``) at each exponent in ``cs``; a non-finite
+    fit scores ``sse = inf``. The offset basis is rank-deficient at
+    ``c = 0``, where the fit is ``d = mean(s)`` with ``a = 0``. Callers
+    hold the ``np.errstate`` that silences overflow at extreme ``c``."""
     x = n[:, None] ** cs
     if with_offset:
         xm = x.mean(axis=0)
@@ -142,84 +128,119 @@ def _power_profile(n, s, cs, with_offset):
     return a, d, sse
 
 
-def _solve_linear(n, s, c, with_offset):
-    """Closed-form linear parameters at exponent ``c``: (params, sse)."""
-    a, d, sse = _power_profile(n, s, np.array([c]), with_offset)
-    params = (a[0], c, d[0]) if with_offset else (a[0], c)
+def _digamma_profile(n, s, log_a, c):
+    """Offset ``d = mean(s - h**c)`` and SSE of the digamma family at
+    ``log a`` by each ``c``; the rest as in :func:`_power_profile`."""
+    x = _digamma_h(np.exp(log_a) * n) ** np.asarray(c)[..., None]
+    d = s.mean() - x.mean(axis=-1)
+    sse = np.sum((x + d[..., None] - s) ** 2, axis=-1)
+    return d, np.where(np.isfinite(sse), sse, np.inf)
+
+
+def _solve(family, n, s, theta):
+    """Parameters and SSE at the nonlinear parameters ``theta``."""
+    if family == "digamma":
+        d, sse = _digamma_profile(n, s, theta[0], theta[1])
+        return np.array([np.exp(theta[0]), theta[1], d]), float(sse)
+    a, d, sse = _power_profile(n, s, theta, family == "power_offset")
+    params = (a[0], theta[0], d[0])[:len(PARAM_NAMES[family])]
     return np.array(params), float(sse[0])
 
 
-def _fit_power(n, s, family):
-    """Variable projection: the linear parameters are solved in closed
-    form at every exponent, so the fit searches ``c`` alone. A scan of
-    the exponent grid picks the start. Gauss-Newton steps on all
-    parameters then move ``c``, halved until the SSE falls by at least a
-    quarter of the linear model's prediction (Armijo), which damps the
-    overshoot of large-residual fits.
+def _scan_starts(n, s, family):
+    """The scan's lowest finite local minima, lowest first; ties keep
+    grid order, so a single start is the argmin."""
+    if family == "digamma":
+        sse = np.array([_digamma_profile(n, s, log_a, _DIGAMMA_C)[1]
+                        for log_a in _DIGAMMA_LOG_A])
+        grid = np.meshgrid(_DIGAMMA_LOG_A, _DIGAMMA_C, indexing="ij")
+    else:
+        sse = _power_profile(n, s, _C_GRID, family == "power_offset")[2]
+        grid = [_C_GRID]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(sse, 1, constant_values=np.inf), (3,) * sse.ndim)
+    local = sse <= windows.min(axis=tuple(range(sse.ndim, 2 * sse.ndim)))
+    idx = np.flatnonzero(local & np.isfinite(sse))
+    idx = idx[np.argsort(sse.ravel()[idx], kind="stable")][:_SEARCH[family][1]]
+    return np.column_stack([g.ravel() for g in grid])[idx]
 
-    The polish stops on its tolerance when the Gauss-Newton step would
-    remove at most a ``_GTOL**2`` share of the SSE, or move the fitted
-    values by rounding only; only then is the fit converged.
-    """
-    with_offset = family == "power_offset"
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sse = _power_profile(n, s, _C_GRID, with_offset)[2]
-        k = int(np.argmin(sse))
-        if not np.isfinite(sse[k]):
-            n_params = 3 if with_offset else 2
-            return LsFit(FunctionalForm(family, (np.nan,) * n_params),
-                         np.inf, False)
-        x, sse = _solve_linear(n, s, _C_GRID[k], with_offset)
-        floor = _EPS_FIT * float(np.sqrt(s @ s))
-        stopped = False
-        for _ in range(_MAX_ITER):
-            if sse == 0.0:
-                stopped = True
+
+def _newton_step(n, s, family, theta):
+    """Newton's step on the SSE profile and the fall it predicts, or None
+    where the Hessian, from central differences of the gradient (by the
+    envelope theorem, the SSE's in ``theta`` alone), is not definite."""
+    def half_grad(theta):
+        x = _solve(family, n, s, theta)[0]
+        r = evaluate_form(family, x, n) - s
+        return _jacobian(family, x, n)[:, _SEARCH[family][0]].T @ r
+
+    hess = np.column_stack([half_grad(theta + e) - half_grad(theta - e)
+                            for e in _FD_STEP * np.eye(len(theta))])
+    hess = (hess + hess.T) / (4.0 * _FD_STEP)
+    if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess).min() <= 0:
+        return None
+    grad = half_grad(theta)
+    step = -np.linalg.solve(hess, grad)
+    return step, float(-grad @ step)
+
+
+def _polish(n, s, family, theta):
+    """Damped Gauss-Newton from the nonlinear parameters ``theta``; the
+    linear ones are re-solved at every trial point. A step is halved
+    until the SSE falls by at least a quarter of the linear model's
+    prediction (Armijo). With two nonlinear parameters the Gauss-Newton
+    Hessian can miss most of the curvature across a narrow valley, and
+    halved steps zig-zag, so a failed full step is retried along
+    Newton's. The fit is converged only if the polish stops on its
+    tolerance (see ``_GTOL``)."""
+    x, sse = _solve(family, n, s, theta)
+    floor = _EPS_FIT * float(np.sqrt(s @ s))
+    stopped = False
+    for _ in range(_MAX_ITER):
+        if sse == 0.0:
+            stopped = True
+            break
+        r = evaluate_form(family, x, n) - s
+        jac = _jacobian(family, x, n)
+        if not np.all(np.isfinite(jac)):
+            break
+        scale = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        scale[scale == 0.0] = 1.0
+        step = np.linalg.lstsq(jac / scale, -r, rcond=None)[0] / scale
+        # the linear model's SSE falls by `gain` over the full step,
+        # and its slope along the step is -2 * gain
+        gain = float(np.sum((jac @ step) ** 2))
+        stopped = np.sqrt(gain) <= _GTOL * np.sqrt(sse) + floor
+        step = step[_SEARCH[family][0]]
+        newton = len(theta) > 1
+        t = 1.0
+        while t >= _MIN_STEP:
+            theta_new = theta + t * step
+            x_new, sse_new = _solve(family, n, s, theta_new)
+            # a final step is below the SSE's rounding: take it
+            # unless it leaves the finite range
+            if (sse - sse_new >= 0.5 * t * gain
+                    or (stopped and np.isfinite(sse_new))):
+                theta, x, sse = theta_new, x_new, sse_new
                 break
-            r = evaluate_form(family, x, n) - s
-            jac = _jacobian(family, x, n)
-            if not np.all(np.isfinite(jac)):
-                break
-            scale = np.sqrt(np.einsum("ij,ij->j", jac, jac))
-            scale[scale == 0.0] = 1.0
-            step = np.linalg.lstsq(jac / scale, -r, rcond=None)[0] / scale
-            # the linear model's SSE falls by `gain` over the full step,
-            # and its slope along the step is -2 * gain
-            gain = float(np.sum((jac @ step) ** 2))
-            stopped = np.sqrt(gain) <= _GTOL * np.sqrt(sse) + floor
-            t = 1.0
-            while t >= _MIN_STEP:
-                x_new, sse_new = _solve_linear(n, s, x[1] + t * step[1],
-                                               with_offset)
-                # a final step is below the SSE's rounding: take it
-                # unless it leaves the finite range
-                if (sse - sse_new >= 0.5 * t * gain
-                        or (stopped and np.isfinite(sse_new))):
-                    x, sse = x_new, sse_new
-                    break
+            retry = newton and _newton_step(n, s, family, theta)
+            newton = False
+            if retry:
+                step, gain = retry
+            else:
                 t *= 0.5
-            if stopped or t < _MIN_STEP:
-                break
+        if stopped or t < _MIN_STEP:
+            break
     converged = bool(stopped and np.all(np.isfinite(x)))
     return LsFit(FunctionalForm(family, tuple(float(v) for v in x)),
                  sse, converged)
 
 
-def _digamma_starts(n, s):
-    grid = [np.array([a0, c0, 0.0]) for a0 in _A_GRID for c0 in _C_STARTS]
-    # Screen the grid by initial SSE and refine only the best few.
-    sses = []
-    for x0 in grid:
-        r = evaluate_form("digamma", x0, n) - s
-        sses.append(float(np.dot(r, r)) if np.all(np.isfinite(r)) else np.inf)
-    order = np.argsort(sses, kind="stable")[:_N_REFINE]
-    # plus an offset start anchored at the series minimum
-    return [grid[i] for i in order] + [np.array([1.0, 1.0, float(np.min(s))])]
-
-
 def fit_series(n, s, family):
-    """Least-squares fit of one functional family to a tracked series."""
-    if family not in FAMILIES:
+    """Least-squares fit of one functional family to a tracked series.
+    Of the polished starts, the lowest converged fit is kept (the lowest
+    fit if none converged)."""
+    if family not in PARAM_NAMES:
         raise ValueError("unknown family %r" % (family,))
     n = np.asarray(n, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -227,47 +248,21 @@ def fit_series(n, s, family):
         raise NonFiniteInput("series contains non-finite values")
     n_params = len(PARAM_NAMES[family])
     if len(np.unique(n)) < n_params:
-        raise TooFewPoints(
-            "%d distinct points < %d parameters" % (len(np.unique(n)),
-                                                    n_params))
+        raise TooFewPoints("%d distinct points < %d parameters"
+                           % (len(np.unique(n)), n_params))
     if np.all(s == 0.0):
         params = (0.0, 1.0) if n_params == 2 else (0.0, 1.0, 0.0)
         return LsFit(FunctionalForm(family, params), 0.0, True)
-
-    if family in ("power", "power_offset"):
-        return _fit_power(n, s, family)
-
-    if family == "inverse":
-        design = np.column_stack([1.0 / n, np.ones_like(n)])
-        params, *_ = np.linalg.lstsq(design, s, rcond=None)
-        resid = design @ params - s
-        return LsFit(FunctionalForm(family, tuple(params)),
-                     float(np.dot(resid, resid)), True)
-
-    best = None
-    for x0 in _digamma_starts(n, s):
-        try:
-            res = least_squares(
-                lambda p: evaluate_form(family, p, n) - s,
-                x0,
-                jac=lambda p: _jacobian(family, p, n),
-                bounds=([1e-9, -np.inf, -np.inf], np.inf),
-                method="trf",
-                xtol=1e-15, ftol=1e-15, gtol=1e-14,
-                max_nfev=400,
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        sse = float(np.dot(res.fun, res.fun))
-        if best is None or sse < best[0]:
-            best = (sse, res)
-    if best is None:
-        return LsFit(FunctionalForm(family, (np.nan,) * n_params),
-                     np.inf, False)
-    sse, res = best
-    converged = bool(res.success and np.all(np.isfinite(res.x)))
-    return LsFit(FunctionalForm(family, tuple(float(v) for v in res.x)),
-                 sse, converged)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if family == "inverse":
+            x, sse = _solve("power_offset", n, s, np.array([-1.0]))
+            return LsFit(FunctionalForm(family, (float(x[0]), float(x[2]))),
+                         sse, True)
+        fits = [_polish(n, s, family, theta)
+                for theta in _scan_starts(n, s, family)]
+    return min(fits, key=lambda fit: (not fit.converged, fit.residual_sse),
+               default=LsFit(FunctionalForm(family, (np.nan,) * n_params),
+                             np.inf, False))
 
 
 def extrapolate(fit, n_o):

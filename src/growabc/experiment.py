@@ -75,6 +75,8 @@ def run_experiment(cfg, out_dir, workers=None):
     experiment_stats.json under ``out_dir``.
     """
     cfg.validate()
+    if cfg.accept_k > cfg.table_size:
+        raise ConfigError("accept_k exceeds table_size")
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "table.csv")
     build_reference_table(cfg, table_path, workers=workers)
@@ -147,6 +149,8 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
     stats.json.
     """
     cfg.validate()
+    if cfg.accept_k > cfg.table_size:
+        raise ConfigError("accept_k exceeds table_size")
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(table_path):
         build_reference_table(cfg, table_path, workers=workers)

@@ -13,7 +13,7 @@ import pytest
 from growabc import table
 from growabc.config import RunConfig, apply_overrides
 from growabc.errors import ConfigError
-from growabc.experiment import abc_run
+from growabc.experiment import abc_run, run_experiment
 from growabc.rejection import standardization_sds, std_euclidean
 from growabc.table import build_reference_table, load_reference_table
 
@@ -86,17 +86,33 @@ def test_every_default_round_trips_through_its_text(name):
 
 
 def test_fit_failures_are_still_recorded(tmp_path):
-    # digamma fits of in_degree_variance run off and do not converge on
-    # entries 4 and 8; those entries fail, the build goes on
+    # digamma fits of in_degree_variance run off to a -> inf and do not
+    # converge on entries 9, 14 and 16; those entries fail, the build
+    # goes on
     cfg = RunConfig(model="price", prior_low=(0.5, 0.001),
                     prior_high=(5.0, 0.01),
                     summaries="in_degree_mean,in_degree_variance",
-                    n_s=300, checkpoint_start=40, n_o=4000, table_size=8,
+                    n_s=300, checkpoint_start=40, n_o=4000, table_size=16,
                     master_seed=0, workers=1)
     path = tmp_path / "table.csv"
     build_reference_table(cfg, str(path))
     rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
-    assert [int(r["entry_id"]) for r in rows if r["failed"] == "1"] == [4, 8]
+    assert [int(r["entry_id"]) for r in rows if r["failed"] == "1"] \
+        == [9, 14, 16]
+
+
+@pytest.mark.parametrize("run", ["experiment", "abc_run"])
+def test_accept_k_above_table_size_is_refused_before_the_build(tmp_path,
+                                                                run):
+    # the default accept_k=50 used to build all 8 entries and then raise
+    cfg = RunConfig(n_s=100, n_o=200, table_size=8, workers=1)
+    table_path = tmp_path / "table.csv"
+    with pytest.raises(ConfigError):
+        if run == "experiment":
+            run_experiment(cfg, str(tmp_path))
+        else:
+            abc_run(cfg, str(table_path), str(tmp_path / "run"))
+    assert not table_path.exists()
 
 
 def test_posterior_ids_of_equal_thetas(tmp_path):
