@@ -169,7 +169,8 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
         return 1e30, zero
     if terms is None:
         terms = _grid_terms(spec, grid)
-    k, lin, rbf = _assemble(spec, hyper, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, lin, rbf = _assemble(spec, hyper, terms)
     try:
         chol, _ = _chol_with_jitter(k)
     except SingularKernel:

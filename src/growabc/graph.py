@@ -77,25 +77,29 @@ class Graph:
 
         The triangle count increases by the number of projection edges
         among the neighbors (each such edge closes one new triangle).
+        The ids are checked once per call, before anything changes.
         """
         nbrs = list(neighbors)
-        if len(set(nbrs)) != len(nbrs):
-            raise ValueError("duplicate neighbor ids")
-        for w in nbrs:
-            self._check_node(w)
-        u = self.add_node()
         nbset = set(nbrs)
+        if len(nbset) != len(nbrs):
+            raise ValueError("duplicate neighbor ids")
+        if nbset and (min(nbset) < 0 or max(nbset) >= len(self._adj)):
+            for w in nbrs:
+                self._check_node(w)
+        adj = self._adj
         closed = 0
         for w in nbrs:
-            closed += len(self._adj[w] & nbset)
-        self._triangle_count += closed // 2
+            closed += len(adj[w] & nbset)
+        u = self.add_node()
+        adj[u].update(nbrs)
         for w in nbrs:
-            self._adj[u].add(w)
-            self._adj[w].add(u)
-            if self.directed:
-                self._out[u].add(w)
+            adj[w].add(u)
+        if self.directed:
+            self._out[u].update(nbrs)
+            for w in nbrs:
                 self._in[w].add(u)
-                self._arc_count += 1
+            self._arc_count += len(nbrs)
+        self._triangle_count += closed // 2
         self._edge_count += len(nbrs)
         return u
 

@@ -69,17 +69,44 @@ def dmc_step(g, params, rng):
     neighbor removes one of the two parallel edges with probability q_m
     (the victim chosen by a fair coin), and finally links the duplicate
     to the anchor with probability q_c.
+
+    Draw order, which fixes the stream: one integer for the anchor; then,
+    for each neighbor in ascending id order, one uniform tested against
+    q_m and, if below, one more tested against 0.5 (below: the anchor
+    loses the edge, else the duplicate does); then one uniform tested
+    against q_c. The uniforms are drawn in blocks that never exceed what
+    the remaining steps of that order still need, so the stream is the
+    same as with one ``rng.random()`` call per draw. The graph is then
+    changed once, to its final state: the anchor's lost edges are
+    removed, and the duplicate is added with only the edges it keeps.
     """
     v = int(rng.integers(g.node_count))
     nbrs = sorted(g.neighbors(v))
-    u = g.add_node_with_edges(nbrs)
-    for w in nbrs:
-        if rng.random() < params.q_m:
-            if rng.random() < 0.5:
-                g.remove_edge(v, w)
-            else:
-                g.remove_edge(u, w)
-    if rng.random() < params.q_c:
+    d = len(nbrs)
+    q_m = params.q_m
+    # a block holds no more than the rest of the step still needs: one
+    # draw for each neighbor from j on, and one for the link
+    draws = rng.random(d + 1).tolist()
+    i = 0
+    kept, lost = [], []     # the duplicate's edges; the anchor's losses
+    for j, w in enumerate(nbrs):
+        if i == len(draws):
+            draws += rng.random(d - j + 1).tolist()
+        i += 1
+        if draws[i - 1] < q_m:
+            if i == len(draws):
+                draws += rng.random(d - j + 1).tolist()
+            i += 1
+            if draws[i - 1] >= 0.5:
+                continue
+            lost.append(w)
+        kept.append(w)
+    if i == len(draws):
+        draws += rng.random(1).tolist()
+    for w in lost:
+        g.remove_edge(v, w)
+    u = g.add_node_with_edges(kept)
+    if draws[i] < params.q_c:
         g.add_edge(u, v)
 
 
@@ -111,9 +138,7 @@ def price_step(g, params, rng):
     x = int(rng.binomial(params.out_cap, params.p))
     x = min(x, g.node_count)
     targets = preferential_sample(g.in_degrees(), params.k0, x, rng)
-    u = g.add_node()
-    for t in sorted(targets):
-        g.add_edge(u, t)
+    g.add_node_with_edges(sorted(targets))
 
 
 def _grow(seed, step, plan, rng):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -230,9 +231,11 @@ class TestObjective:
 
         grid = np.linspace(35, 500, 94)
         theta = np.array([0.4, 1.1, 1e305, 0.4, 1.5, 40.0, 0.8])
-        value, grad = _neg_log_posterior_grad(
-            theta, KernelSpec("linear_plus_rbf", "identity"), grid,
-            0.4 * grid ** 1.1, (0.4, 1.1), (1.0, 1.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _neg_log_posterior_grad(
+                theta, KernelSpec("linear_plus_rbf", "identity"), grid,
+                0.4 * grid ** 1.1, (0.4, 1.1), (1.0, 1.1))
         assert value == 1e30
         assert np.array_equal(grad, np.zeros_like(theta))
         # the factorization reads the lower triangle only; an inf in the

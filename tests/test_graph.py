@@ -111,6 +111,44 @@ class TestAddNodeWithEdges:
         with pytest.raises(ValueError):
             g.add_node_with_edges([0, 0])
 
+    def test_negative_id_is_unknown(self):
+        g = complete_graph(3)
+        with pytest.raises(UnknownNode):
+            g.add_node_with_edges([1, -1])
+        assert (g.node_count, g.edge_count) == (3, 3)
+
+    def test_duplicates_refused_before_any_change(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError):
+            g.add_node_with_edges([2, 0, 2])
+        assert g.node_count == 3
+        assert (g.edge_count, g.triangle_count) == (3, 1)
+        assert all(len(g.neighbors(u)) == 2 for u in range(3))
+
+    def test_directed_matches_arc_loop(self):
+        rng = np.random.default_rng(5)
+        bulk = Graph(directed=True)
+        loop = Graph(directed=True)
+        for g in (bulk, loop):
+            for _ in range(12):
+                g.add_node()
+            for u, v in ((1, 0), (2, 0), (2, 1), (5, 3), (7, 2)):
+                g.add_edge(u, v)
+        for _ in range(40):
+            k = int(rng.integers(0, 6))
+            targets = sorted(rng.choice(bulk.node_count, size=k,
+                                        replace=False).tolist())
+            bulk.add_node_with_edges(targets)
+            u = loop.add_node()
+            for t in targets:
+                loop.add_edge(u, t)
+        assert list(bulk.edges()) == list(loop.edges())
+        assert bulk.arc_count == loop.arc_count
+        assert bulk.edge_count == loop.edge_count
+        assert bulk.in_degrees() == loop.in_degrees()
+        assert bulk.triangle_count == loop.triangle_count
+        assert bulk.triangle_count == brute_force_triangles(bulk)
+
 
 class TestRemoveEdge:
     def test_k4(self):

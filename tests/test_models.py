@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, spearmanr
@@ -57,6 +59,54 @@ class TestDmcStep:
         for _ in range(30):
             dmc_step(g, params, rng)
             assert g.triangle_count == brute_force_triangles(g)
+
+
+def reference_dmc_step(g, params, rng):
+    """One DMC step with one rng call per draw and every edge of the
+    duplicate added before the removals: the draw order dmc_step keeps."""
+    v = int(rng.integers(g.node_count))
+    nbrs = sorted(g.neighbors(v))
+    u = g.add_node_with_edges(nbrs)
+    for w in nbrs:
+        if rng.random() < params.q_m:
+            if rng.random() < 0.5:
+                g.remove_edge(v, w)
+            else:
+                g.remove_edge(u, w)
+    if rng.random() < params.q_c:
+        g.add_edge(u, v)
+
+
+class TestDmcStream:
+    @pytest.mark.parametrize("q_m", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("q_c", [0.0, 0.5, 1.0])
+    def test_same_draws_and_graph_as_one_call_per_draw(self, q_m, q_c):
+        params = DmcParams(q_m, q_c)
+        for seed in range(3):
+            fast = er_seed(10, 0.4, seed)
+            ref = fast.copy()
+            rng_fast = np.random.default_rng(seed)
+            rng_ref = np.random.default_rng(seed)
+            for _ in range(300):
+                dmc_step(fast, params, rng_fast)
+                reference_dmc_step(ref, params, rng_ref)
+            assert sorted(fast.edges()) == sorted(ref.edges())
+            assert fast.node_count == ref.node_count
+            assert fast.edge_count == ref.edge_count
+            assert fast.triangle_count == ref.triangle_count
+            assert (rng_fast.bit_generator.state
+                    == rng_ref.bit_generator.state)
+
+    def test_golden_graph(self):
+        # pinned from the one-call-per-draw step
+        _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
+                        GrowthPlan(1000), np.random.default_rng(0),
+                        return_graph=True)
+        assert g.edge_count == 18_522
+        assert g.triangle_count == 58_002
+        text = "".join("%d %d\n" % e for e in g.edges())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1712f09c8480c4f1eb66400158978cf61059c5c8536513cc3671c64a3db25168")
 
 
 class TestGrowDmc:
