@@ -2,12 +2,16 @@
 
 A per-realization GP with power-law mean a * n**c and a composite
 kernel: a warped linear (dot-product) part plus or times an RBF part,
-with observation noise on the diagonal. Hyperparameters are estimated
-by MAP under truncated-normal priors (projected quasi-Newton with a
-fixed multi-start list), and the predictive mean/variance at a larger
-node count is read off the usual conditional-normal formulas.
-The hyperparameter-free parts of the Gram matrix (warped node counts,
-squared distances, noise positions) are built once per fit_map grid.
+with observation noise on the diagonal. Parameters are estimated by
+MAP under normal priors on (a, c) and truncated-normal priors on the
+kernel parameters. The mean is linear in a, so for given c and kernel
+parameters the MAP a is closed form (GPML sec. 2.7); the search
+(projected quasi-Newton from a fixed list of starts) runs over c and
+the kernel parameters of that profiled objective. The predictive
+mean/variance at a larger node count is read off the usual
+conditional-normal formulas. The hyperparameter-free parts of the Gram
+matrix (warped node counts, squared distances, noise positions) are
+built once per fit_map grid.
 """
 
 import math
@@ -17,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
@@ -86,27 +91,29 @@ def _grid_terms(spec, x, y=None):
             np.nonzero(x[:, None] == y[None, :]))
 
 
-def _assemble(spec, hyper, terms, noise=True):
-    """Gram matrix from _grid_terms, with its linear and RBF parts."""
+def _assemble(spec, kp, terms, noise=True):
+    """Gram matrix from _grid_terms and the kernel parameters ``kp`` (a
+    mapping by name), with its RBF part and, for linear_times_rbf, its
+    linear part."""
     wx, wy, d2, same = terms
-    lin = (hyper.alpha * wx)[:, None] * wy[None, :] + hyper.gamma
-    rbf = None
-    if spec.family == "linear_only":
-        k = lin.copy()
-    else:
-        rbf = np.exp(-d2 / (2.0 * hyper.rho ** 2))
+    k = np.multiply.outer(kp["alpha"] * wx, wy)
+    k += kp["gamma"]
+    lin = rbf = None
+    if spec.family != "linear_only":
+        rbf = np.exp(d2 * (-0.5 / kp["rho"] ** 2))
         if spec.family == "linear_plus_rbf":
-            k = lin + hyper.beta * rbf
+            k += kp["beta"] * rbf
         else:
-            k = lin * rbf
-    if noise and hyper.sigma2 != 0.0:
-        k[same] += hyper.sigma2
+            lin = k.copy()
+            k *= rbf
+    if noise and kp["sigma2"] != 0.0:
+        k[same] += kp["sigma2"]
     return k, lin, rbf
 
 
 def gram_matrix(spec, hyper, x, y=None, noise=True):
     """Covariance matrix between node-count vectors x and y."""
-    return _assemble(spec, hyper, _grid_terms(spec, x, y), noise)[0]
+    return _assemble(spec, vars(hyper), _grid_terms(spec, x, y), noise)[0]
 
 
 def kernel_value(spec, hyper, n1, n2):
@@ -135,6 +142,16 @@ def _chol_with_jitter(k):
     raise SingularKernel("Cholesky failed after jitter escalation")
 
 
+def _amplitude(chol, s, h, center, sd):
+    """MAP amplitude a of the mean a*h under its normal prior, given the
+    Cholesky factor of K, and K^-1 (s - a*h): one solve with the two
+    right-hand sides s and h (GPML sec. 2.7, explicit basis functions)."""
+    sol, _ = dpotrs(chol, np.array([s, h]).T, lower=1)
+    ks, kh = sol[:, 0], sol[:, 1]
+    a = (h @ ks + center / sd ** 2) / (h @ kh + 1.0 / sd ** 2)
+    return a, ks - a * kh
+
+
 def _pack(spec):
     """Names of the free hyperparameters for a kernel family."""
     if spec.family == "linear_plus_rbf":
@@ -154,67 +171,67 @@ def _hyper_from_vector(spec, vec):
 
 def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
                             terms=None):
-    """Objective and its analytic gradient for the MAP optimizer, from
-    one Gram matrix and one Cholesky factor (GPML Alg. 2.1, eq. 5.9);
-    ``terms`` are the grid's _grid_terms, built here if not given.
+    """MAP objective over theta = (c, kernel parameters) with the mean
+    amplitude a profiled out, and its analytic gradient, from one Gram
+    matrix and one Cholesky factor (GPML Alg. 2.1, eq. 5.9). By the
+    envelope theorem the gradient is that of the full objective at the
+    closed-form a. ``terms`` are the grid's _grid_terms, built here if
+    not given.
 
     A value >= 1e29 marks a failed evaluation and comes with a zero
     gradient, which keeps the optimizer from following it."""
-    mean_params = theta[:2]
-    hyper = _hyper_from_vector(spec, theta[2:])
+    c = theta[0]
+    kp = dict(zip(_pack(spec), theta[1:]))
+    (a0, c0), (sd_a, sd_c) = prior_centers, prior_sds
     zero = np.zeros_like(theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = s - _mean(mean_params, grid)
-    if not np.all(np.isfinite(r)):
-        return 1e30, zero
     if terms is None:
         terms = _grid_terms(spec, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        k, lin, rbf = _assemble(spec, hyper, terms)
-    try:
-        chol, _ = _chol_with_jitter(k)
-    except SingularKernel:
-        return 1e30, zero
-    alpha_vec, _ = dpotrs(chol, r, lower=1)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    nll = 0.5 * float(r @ alpha_vec) + 0.5 * logdet \
-        + 0.5 * len(grid) * math.log(2.0 * math.pi)
-    # mean-parameter priors: normal centered at the LS estimates
-    for v, c0, sd in zip(mean_params, prior_centers, prior_sds):
-        nll += 0.5 * ((v - c0) / sd) ** 2
-    # kernel-parameter priors: positively truncated standard normals
-    for v in theta[2:]:
-        nll += 0.5 * v * v
-    nll = nll if np.isfinite(nll) else 1e30
-    if nll >= 1e29:
-        return nll, zero
+        h = grid ** c
+        k, lin, rbf = _assemble(spec, kp, terms)
+        try:
+            chol, _ = _chol_with_jitter(k)
+        except SingularKernel:
+            return 1e30, zero
+        a, alpha_vec = _amplitude(chol, s, h, a0, sd_a)
+        # mean-parameter priors: normal centred at the LS estimates;
+        # kernel-parameter priors: positively truncated standard normals
+        nll = 0.5 * float((s - a * h) @ alpha_vec) \
+            + float(np.sum(np.log(np.diagonal(chol)))) \
+            + 0.5 * len(grid) * math.log(2.0 * math.pi) \
+            + 0.5 * ((a - a0) / sd_a) ** 2 + 0.5 * ((c - c0) / sd_c) ** 2 \
+            + 0.5 * float(theta[1:] @ theta[1:])
+        if not np.isfinite(nll):
+            return 1e30, zero
+        if nll >= 1e29:
+            return nll, zero
 
-    a, c = mean_params
-    grad = np.empty_like(theta)
-    nc = np.asarray(grid, float) ** c  # d(mean)/da
-    dmu_dc = a * nc * np.log(grid)
-    grad[0] = -float(nc @ alpha_vec) \
-        + (a - prior_centers[0]) / prior_sds[0] ** 2
-    grad[1] = -float(dmu_dc @ alpha_vec) \
-        + (c - prior_centers[1]) / prior_sds[1] ** 2
-    # kernel gradients: 0.5 * sum(W * dK/dtheta) with W = K^-1 - a a^T
-    # K^-1 in the lower half; the upper half is zero (dpotrf clean=1)
-    low_inv, _ = dpotri(chol, lower=1, overwrite_c=1)
-    wmat = low_inv + low_inv.T
-    np.fill_diagonal(wmat, np.diagonal(low_inv))
-    wmat -= alpha_vec[:, None] * alpha_vec[None, :]
-    w, _, d2, same = terms
-    w_rbf = None if rbf is None else wmat * rbf
-    w_lin = w_rbf if spec.family == "linear_times_rbf" else wmat
-    traces = {"sigma2": wmat[same].sum(), "alpha": w @ w_lin @ w,
-              "gamma": w_lin.sum()}
-    if spec.family == "linear_plus_rbf":
-        traces["beta"] = w_rbf.sum()
-    if rbf is not None:  # d(rbf)/d(rho) = rbf * d2 / rho^3, times beta or lin
-        scale = hyper.beta if spec.family == "linear_plus_rbf" else lin
-        traces["rho"] = np.sum(w_rbf * d2 * scale) / hyper.rho ** 3
-    for i, name in enumerate(_pack(spec)):
-        grad[2 + i] = 0.5 * float(traces[name]) + theta[2 + i]
+        grad = np.empty_like(theta)
+        grad[0] = -a * float((h * np.log(grid)) @ alpha_vec) \
+            + (c - c0) / sd_c ** 2
+        # Kernel gradients are 0.5 * tr(W dK/dtheta), W = K^-1 - alpha
+        # alpha^T. dpotri leaves K^-1 in the lower half (the upper half is
+        # zero, dpotrf clean=1). With its diagonal halved and a rank-one
+        # update by -alpha alpha^T / 2 it becomes a matrix m whose sum
+        # against any symmetric dK is 0.5 * tr(W dK); m is used through
+        # its C-ordered transpose.
+        m, _ = dpotri(chol, lower=1, overwrite_c=1)
+        m.flat[::len(grid) + 1] *= 0.5
+        m = dger(-0.5, alpha_vec, alpha_vec, a=m, overwrite_a=1).T
+        w, _, d2, same = terms
+        m_rbf = None if rbf is None else m * rbf
+        m_lin = m if lin is None else m_rbf
+        traces = {"sigma2": m[same].sum(), "alpha": w @ m_lin @ w,
+                  "gamma": m_lin.sum()}
+        if spec.family == "linear_plus_rbf":
+            traces["beta"] = m_rbf.sum()
+        if rbf is not None:
+            # d(rbf)/d(rho) = rbf * d2 / rho^3, times beta or lin
+            rho_sum = kp["beta"] * np.vdot(m_rbf, d2) if lin is None \
+                else np.vdot(m_rbf * lin, d2)
+            traces["rho"] = rho_sum / kp["rho"] ** 3
+        for i, name in enumerate(_pack(spec), 1):
+            grad[i] = float(traces[name]) + theta[i]
     return nll, (grad if np.all(np.isfinite(grad)) else zero)
 
 
@@ -224,7 +241,9 @@ def _neg_log_posterior(theta, *args):
 
 
 def fit_map(grid, s, spec, ls_init):
-    """MAP estimate of mean and kernel parameters for one series."""
+    """MAP estimate of mean and kernel parameters for one series: the
+    search runs over the exponent c and the kernel parameters, with the
+    amplitude a in closed form."""
     grid = np.asarray(grid, dtype=float)
     s = np.asarray(s, dtype=float)
     if len(grid) < MIN_CHECKPOINTS:
@@ -241,23 +260,25 @@ def fit_map(grid, s, spec, ls_init):
     names = _pack(spec)
     lower = {"alpha": ALPHA_MIN, "gamma": 0.0, "beta": 0.0,
              "rho": min_spacing, "sigma2": 0.0}
-    bounds = [(None, None), (None, None)] + [(lower[n], None) for n in names]
+    bounds = [(None, None)] + [(lower[n], None) for n in names]
 
-    # residual scale guides the noise / RBF starting values
+    # residual scale guides the noise / RBF starting values; its floor
+    # follows the series' scale, so that a near-noiseless series starts
+    # where the Gram factors without jitter
     resid = s - _mean((a0, c0), grid)
-    rvar = max(float(np.var(resid)), 1e-12)
-    start_sets = []
-    for frac in (1.0, 0.1):
-        kern0 = {"alpha": max(ALPHA_MIN, 0.5), "gamma": 0.1,
-                 "beta": frac * rvar, "rho": max(min_spacing, 5 * min_spacing),
-                 "sigma2": frac * rvar}
-        start_sets.append([a0, c0] + [kern0[n] for n in names])
-    start_sets.append([a0, c0] + [max(lower[n], 0.5) for n in names])
+    rvar = max(float(np.var(resid)), 1e-12 * max(float(np.var(s)), 1.0))
+    kern_starts = [{"alpha": max(ALPHA_MIN, 0.5), "gamma": 0.1,
+                    "beta": frac * rvar,
+                    "rho": max(min_spacing, 5 * min_spacing),
+                    "sigma2": frac * rvar} for frac in (1.0, 0.1)]
+    kern_starts.append({n: max(v, 0.5) for n, v in lower.items()})
+    kern_starts.append(dict(lower, beta=0.1 * rvar, sigma2=0.1 * rvar))
 
     args = (spec, grid, s, prior_centers, prior_sds, _grid_terms(spec, grid))
     best = None
-    for x0 in start_sets:
-        res = minimize(_neg_log_posterior_grad, np.asarray(x0, float),
+    for kern0 in kern_starts:
+        res = minimize(_neg_log_posterior_grad,
+                       np.array([c0] + [kern0[n] for n in names], float),
                        args=args, jac=True,
                        method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": 500, "ftol": 1e-12,
@@ -267,16 +288,13 @@ def fit_map(grid, s, spec, ls_init):
     if best is None or not np.isfinite(best.fun) or best.fun >= 1e29:
         raise NotConverged("no MAP start converged")
 
-    fit = GpFit(
-        mean_params=(float(best.x[0]), float(best.x[1])),
-        hyper=_hyper_from_vector(spec, best.x[2:]),
-        spec=spec,
-        log_posterior=-float(best.fun),
-        grid=grid,
-        values=s,
-    )
-    _ensure_solve(fit)
-    return fit
+    c = float(best.x[0])
+    hyper = _hyper_from_vector(spec, best.x[1:])
+    cho = _chol_with_jitter(gram_matrix(spec, hyper, grid))
+    a, weights = _amplitude(cho[0], s, grid ** c, a0, prior_sds[0])
+    return GpFit(mean_params=(float(a), c), hyper=hyper, spec=spec,
+                 log_posterior=-float(best.fun), grid=grid, values=s,
+                 _cho=cho, _weights=weights)
 
 
 def _ensure_solve(fit):

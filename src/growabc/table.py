@@ -178,7 +178,7 @@ def build_reference_table(cfg, out_path, workers=None):
             fh.write("# config=%s\n" % chash)
             writer.writerow(table_columns(cfg))
         workers = cfg.workers if workers is None else workers
-        for result in pool_map(_build_entry, jobs, workers, chunksize=4):
+        for result in pool_map(_build_entry, jobs, workers):
             writer.writerow(_format_row(cfg, result))
     return out_path
 

@@ -65,6 +65,38 @@ def kernel_derivatives(spec, hyper, grid):
     return [grads[name] for name in _pack(spec)]
 
 
+def full_objective(spec, hyper, grid, s, mean_params, centers, sds):
+    """The MAP objective over (a, c, kernel parameters), a not profiled
+    out, from gram_matrix and scipy's cho_factor."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from growabc.gp import _pack
+
+    cho = cho_factor(gram_matrix(spec, hyper, grid), lower=True)
+    r = s - mean_params[0] * grid ** mean_params[1]
+    nll = 0.5 * float(r @ cho_solve(cho, r)) \
+        + np.sum(np.log(np.diag(cho[0]))) \
+        + 0.5 * len(grid) * np.log(2.0 * np.pi)
+    for v, c0, sd in zip(mean_params, centers, sds):
+        nll += 0.5 * ((v - c0) / sd) ** 2
+    for name in _pack(spec):
+        nll += 0.5 * getattr(hyper, name) ** 2
+    return nll
+
+
+def dense_amplitude(k_inv, h, s, center, sd):
+    """MAP amplitude of the mean a*h from an explicit inverse."""
+    return (h @ k_inv @ s + center / sd ** 2) / (h @ k_inv @ h + 1 / sd ** 2)
+
+
+def profiled_amplitude(spec, hyper, s, c, center=0.4, sd=1.0):
+    """The objective's closed-form amplitude on GRID."""
+    from growabc.gp import _amplitude, _chol_with_jitter
+
+    chol, _ = _chol_with_jitter(gram_matrix(spec, hyper, GRID))
+    return _amplitude(chol, s, GRID ** c, center, sd)[0]
+
+
 def manual_fit(spec, hyper, grid, s, mean_params):
     return GpFit(mean_params=mean_params, hyper=hyper, spec=spec,
                  log_posterior=0.0, grid=np.asarray(grid, float),
@@ -131,7 +163,7 @@ class TestObjective:
         rng = np.random.default_rng(7)
         s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
         spec = KernelSpec(family, warp)
-        theta = np.array([0.38, 1.11] + [self.START[n] for n in _pack(spec)])
+        theta = np.array([1.11] + [self.START[n] for n in _pack(spec)])
         args = (spec, GRID, s, (0.4, 1.1), (1.0, 1.1))
         value, grad = _neg_log_posterior_grad(theta, *args)
         assert value == _neg_log_posterior(theta, *args)
@@ -183,18 +215,20 @@ class TestObjective:
             hyper = replace(hyper, sigma2=hyper.sigma2 * prior_var.mean()
                             / 100.0)
             names = _pack(spec)
-            theta = np.array([rng.uniform(0.3, 0.5), rng.uniform(1.0, 1.2)]
+            theta = np.array([rng.uniform(1.0, 1.2)]
                              + [getattr(hyper, n) for n in names])
             s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
             _, grad = _neg_log_posterior_grad(theta, spec, GRID, s,
                                               (0.4, 1.1), (1.0, 1.1))
             k_inv = np.linalg.inv(gram_matrix(spec, hyper, GRID))
-            a = k_inv @ (s - theta[0] * GRID ** theta[1])
+            h = GRID ** theta[0]
+            a_hat = dense_amplitude(k_inv, h, s, 0.4, 1.0)
+            a = k_inv @ (s - a_hat * h)
             for i, dk in enumerate(kernel_derivatives(spec, hyper, GRID)):
                 trace, quad = 0.5 * np.sum(k_inv * dk), 0.5 * a @ dk @ a
-                expected = trace - quad + theta[2 + i]
-                scale = abs(trace) + abs(quad) + abs(theta[2 + i])
-                assert abs(grad[2 + i] - expected) <= 1e-8 * scale, names[i]
+                expected = trace - quad + theta[1 + i]
+                scale = abs(trace) + abs(quad) + abs(theta[1 + i])
+                assert abs(grad[1 + i] - expected) <= 1e-8 * scale, names[i]
 
     @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
                                         "linear_times_rbf"])
@@ -209,20 +243,79 @@ class TestObjective:
         centers, sds = (0.4, 1.1), (1.0, 1.1)
         for _ in range(10):
             hyper = random_hyper(rng, family)
-            theta = np.array([rng.uniform(0.3, 0.5), rng.uniform(1.0, 1.2)]
+            theta = np.array([rng.uniform(1.0, 1.2)]
                              + [getattr(hyper, n) for n in _pack(spec)])
             s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
-            r = s - theta[0] * GRID ** theta[1]
+            h = GRID ** theta[0]
             cho = cho_factor(gram_matrix(spec, hyper, GRID), lower=True)
-            nll = 0.5 * float(r @ cho_solve(cho, r)) \
+            k_s, k_h = cho_solve(cho, np.array([s, h]).T).T
+            a = (h @ k_s + centers[0] / sds[0] ** 2) \
+                / (h @ k_h + 1.0 / sds[0] ** 2)
+            nll = 0.5 * float((s - a * h) @ (k_s - a * k_h)) \
                 + 0.5 * (2.0 * np.sum(np.log(np.diag(cho[0])))) \
                 + 0.5 * len(GRID) * np.log(2.0 * np.pi)
-            for v, c0, sd in zip(theta[:2], centers, sds):
+            for v, c0, sd in zip((a, theta[0]), centers, sds):
                 nll += 0.5 * ((v - c0) / sd) ** 2
-            for v in theta[2:]:
-                nll += 0.5 * v * v
+            nll += 0.5 * float(theta[1:] @ theta[1:])
             assert _neg_log_posterior(theta, spec, GRID, s, centers,
                                       sds) == nll
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_profiled_amplitude_is_stationary(self, family, warp):
+        # d/da of the full objective at the profiled a, from an explicit
+        # inverse: -h^T K^-1 (s - a h) + (a - a0) / sd_a^2 = 0
+        rng = np.random.default_rng(14)
+        spec = KernelSpec(family, warp)
+        for _ in range(10):
+            hyper = random_hyper(rng, family)
+            c = rng.uniform(1.0, 1.2)
+            s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
+            h = GRID ** c
+            k_inv = np.linalg.inv(gram_matrix(spec, hyper, GRID))
+            a = profiled_amplitude(spec, hyper, s, c)
+            parts = (h @ k_inv @ s, a * (h @ k_inv @ h), (a - 0.4) / 1.0)
+            slope = -parts[0] + parts[1] + parts[2]
+            assert abs(slope) <= 1e-8 * sum(abs(v) for v in parts)
+
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_profiled_value_is_below_full_objective(self, family, warp):
+        from growabc.gp import _neg_log_posterior, _pack
+
+        rng = np.random.default_rng(15)
+        spec = KernelSpec(family, warp)
+        centers, sds = (0.4, 1.1), (1.0, 1.1)
+        for _ in range(10):
+            hyper = random_hyper(rng, family)
+            c = rng.uniform(1.0, 1.2)
+            s = 0.4 * GRID ** 1.1 + rng.normal(0, 1.0, len(GRID))
+            theta = np.array([c] + [getattr(hyper, n) for n in _pack(spec)])
+            value = _neg_log_posterior(theta, spec, GRID, s, centers, sds)
+            a = profiled_amplitude(spec, hyper, s, c)
+            for delta in (1e-4, 1e-2, 1.0):
+                for sign in (-1, 1):
+                    full = full_objective(spec, hyper, GRID, s,
+                                          (a + sign * delta * abs(a), c),
+                                          centers, sds)
+                    assert value <= full
+
+    def test_overflowing_quadratic_form_is_a_failed_evaluation(self):
+        # the Gram factors, but s^T K^-1 s overflows: a failed evaluation,
+        # with no RuntimeWarning
+        from growabc.gp import _neg_log_posterior_grad
+
+        grid = np.linspace(35, 500, 94)
+        theta = np.array([1.1, 0.5, 0.1, 1.0, 25.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _neg_log_posterior_grad(
+                theta, KernelSpec("linear_plus_rbf", "identity"), grid,
+                1e200 * np.cos(grid), (0.4, 1.1), (1.0, 1.1))
+        assert value == 1e30
+        assert np.array_equal(grad, np.zeros_like(theta))
 
     def test_non_finite_gram_is_a_failed_evaluation(self):
         # alpha=1e305 overflows the linear part of the Gram to inf; the
@@ -230,7 +323,7 @@ class TestObjective:
         from growabc.gp import _chol_with_jitter, _neg_log_posterior_grad
 
         grid = np.linspace(35, 500, 94)
-        theta = np.array([0.4, 1.1, 1e305, 0.4, 1.5, 40.0, 0.8])
+        theta = np.array([1.1, 1e305, 0.4, 1.5, 40.0, 0.8])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, grad = _neg_log_posterior_grad(
@@ -288,10 +381,35 @@ class TestFitMap:
             fit = fit_map(GRID, s, spec, ls)
             a0, c0 = ls.form.params
             centers, sds = (a0, c0), (max(abs(a0), 1.0), max(abs(c0), 1.0))
-            init = np.array([a0, c0]
-                            + [max(lower[n], 0.5) for n in _pack(spec)])
+            init = np.array([c0] + [max(lower[n], 0.5) for n in _pack(spec)])
             init_obj = _neg_log_posterior(init, spec, GRID, s, centers, sds)
             assert -fit.log_posterior <= init_obj + 1e-9
+
+    def test_dmc_gp_triangle_fit_leaves_the_amplitude_ridge(self):
+        # RunConfig of the dmc_gp benchmark, master seed 2, entry 1. The
+        # search over (a, c, kernel) stopped on the a-c ridge at a point
+        # that is not stationary: log posterior -31534.03, a = -0.30,
+        # c = -0.07.
+        from growabc.config import RunConfig
+        from growabc.rejection import draw_prior
+        from growabc.seeding import mix_seed
+        from growabc.table import grow_to
+
+        cfg = RunConfig(method="GPa", n_s=500, n_o=1000, truths="0.25:0.5",
+                        table_size=8, accept_k=3, exp_replicates=4,
+                        master_seed=2)
+        rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
+        theta = draw_prior(cfg.prior_box(), rng)
+        specs = cfg.summary_specs()
+        series, _ = grow_to(cfg, theta, rng, cfg.n_s, cfg.checkpoints(),
+                            specs)
+        (spec,) = [sp for sp in specs if sp.kind == "triangle_count"]
+        grid = np.asarray(series.checkpoints, dtype=float)
+        s = np.asarray(series.column(spec.name), dtype=float)
+        fit = fit_map(grid, s, KernelSpec("linear_plus_rbf", "identity"),
+                      fit_series(grid, s, "power"))
+        assert fit.log_posterior >= -6035.0
+        assert 1.9 < fit.mean_params[1] < 2.1
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
