@@ -16,6 +16,7 @@ from .models import (
 from .rejection import (
     AbcPosterior,
     PriorBox,
+    ReferenceTable,
     ReferenceTableEntry,
     accept_top_k_density,
     accept_top_k_distance,
@@ -41,6 +42,7 @@ __all__ = [
     "NodeSample",
     "PriceParams",
     "PriorBox",
+    "ReferenceTable",
     "ReferenceTableEntry",
     "SummarySpec",
     "TrackedSeries",

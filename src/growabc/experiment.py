@@ -16,6 +16,7 @@ from .pool import pool_map
 from .rejection import (
     accept_top_k_density,
     accept_top_k_distance,
+    columns_of,
     posterior_stats,
     standardization_sds,
     draw_prior,
@@ -33,7 +34,7 @@ def compute_sds(cfg, entries):
     """Per-summary standardization sds, from the extrapolated table
     values or from auxiliary full-size simulations."""
     if cfg.standardization == "extrapolated":
-        return standardization_sds([e.ext_summaries for e in entries]).sds
+        return standardization_sds(columns_of(entries).ext).sds
     vectors = []
     for i in range(cfg.aux_count):
         seed_val = mix_seed(cfg.master_seed, AUX_OFFSET + i)
@@ -41,6 +42,16 @@ def compute_sds(cfg, entries):
         theta = draw_prior(cfg.prior_box(), rng)
         vectors.append(simulate_observed(cfg, theta, rng))
     return standardization_sds(vectors).sds
+
+
+def load_checked_table(cfg, table_path):
+    """Load a built table, refuse it when its usable rows are fewer than
+    ``accept_k``, and compute the standardization sds; returns
+    (entries, failed count, sds)."""
+    entries, failed, _ = load_reference_table(table_path, config_hash(cfg))
+    if cfg.accept_k > len(entries):
+        raise ConfigError("accept_k exceeds the usable table size")
+    return entries, failed, compute_sds(cfg, entries)
 
 
 def run_abc(cfg, entries, observed, sds, fill_rng=None):
@@ -80,10 +91,7 @@ def run_experiment(cfg, out_dir, workers=None):
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "table.csv")
     build_reference_table(cfg, table_path, workers=workers)
-    entries, failed, _ = load_reference_table(table_path, config_hash(cfg))
-    if cfg.accept_k > len(entries):
-        raise ConfigError("accept_k exceeds the usable table size")
-    sds = compute_sds(cfg, entries)
+    entries, failed, sds = load_checked_table(cfg, table_path)
 
     truths = cfg.truth_list()
     jobs = [(cfg, t, r) for t in range(len(truths))
@@ -154,8 +162,7 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(table_path):
         build_reference_table(cfg, table_path, workers=workers)
-    entries, failed, _ = load_reference_table(table_path, config_hash(cfg))
-    sds = compute_sds(cfg, entries)
+    entries, failed, sds = load_checked_table(cfg, table_path)
     truth = None
     if observed is None:
         truth = cfg.truth_list()[0]

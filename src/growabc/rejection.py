@@ -1,6 +1,15 @@
 """Reference table, distances, reconstructed-normal densities,
-top-k acceptance, and posterior summaries."""
+top-k acceptance, and posterior summaries.
 
+A ``ReferenceTable`` is an immutable sequence of ``ReferenceTableEntry``
+that builds its entry-id, theta and extrapolated-summary columns once,
+on first use. Distance acceptance (methods S, LS, RE, GPc) is one NumPy
+selection over those columns; a plain list of entries gets its columns
+built for the call. Density acceptance (GPa, GPb) scores the entries
+one at a time.
+"""
+
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -47,6 +56,30 @@ class ReferenceTableEntry:
         if (self.gp_variances is None) != (self.gp_correlation is None):
             raise MissingGpFields(
                 "gp_variances and gp_correlation must be given together")
+
+
+TableColumns = namedtuple("TableColumns", ["entry_ids", "thetas", "ext"])
+
+
+class ReferenceTable(tuple):
+    """An immutable sequence of ReferenceTableEntry whose columns are
+    built once, on first use; being immutable, they cannot go stale."""
+
+    @functools.cached_property
+    def columns(self):
+        """(entry_ids int64, thetas, ext) arrays, one row per entry."""
+        return TableColumns(
+            np.array([e.entry_id for e in self], dtype=np.int64),
+            np.array([e.theta for e in self], dtype=float),
+            np.array([e.ext_summaries for e in self], dtype=float))
+
+
+def columns_of(table):
+    """The columns of a ReferenceTable, or of a plain sequence of
+    entries, built for this call."""
+    if isinstance(table, ReferenceTable):
+        return table.columns
+    return ReferenceTable(table).columns
 
 
 @dataclass
@@ -97,17 +130,24 @@ def std_euclidean(x, y, sds):
 
 def accept_top_k_distance(table, observed, sds, k, method="LS"):
     """Keep the k entries with the smallest standardized distances;
-    exact ties break deterministically by entry_id."""
+    exact ties break deterministically by entry_id. Each distance
+    equals ``std_euclidean`` of its row bit for bit: ``vecdot`` sums a
+    row in the order ``np.dot`` does, where ``einsum`` may not."""
     if k > len(table):
         raise KTooLarge("k=%d > table size %d" % (k, len(table)))
-    scored = sorted(
-        ((std_euclidean(e.ext_summaries, observed, sds), e.entry_id, e)
-         for e in table),
-        key=lambda t: (t[0], t[1]))
-    top = scored[:k]
-    return AbcPosterior(accepted=[(e.theta, dist) for dist, _, e in top],
-                        method=method, k=k,
-                        entry_ids=tuple([i for _, i, _ in top]))
+    cols = columns_of(table)
+    observed = np.asarray(observed, dtype=float)
+    sds = np.asarray(sds, dtype=float)
+    # broadcasting would quietly accept a 1-vector
+    if not (cols.ext.shape[1:] == observed.shape == sds.shape):
+        raise LengthMismatch("vector lengths differ")
+    z = (cols.ext - observed) / sds
+    dist = np.sqrt(np.vecdot(z, z))
+    top = np.lexsort((cols.entry_ids, dist))[:k]
+    return AbcPosterior(
+        accepted=[(tuple(t), d) for t, d in zip(cols.thetas[top].tolist(),
+                                                dist[top].tolist())],
+        method=method, k=k, entry_ids=tuple(cols.entry_ids[top].tolist()))
 
 
 def bivariate_density(mean, variances, corr, observed, inflate=1.0):

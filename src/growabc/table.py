@@ -11,7 +11,9 @@ built; an edge-list seed file is read, and so checked, by the first
 entry. Rows are written incrementally and builds are resumable by entry
 id, guarded by a config hash in the header comment. Resuming cuts off a
 last row without its newline (a build killed mid-write), and reading
-refuses a row whose field count differs from the header's.
+refuses a row whose field count differs from the header's. Reading
+returns the usable rows as a ``rejection.ReferenceTable``, whose NumPy
+columns every acceptance pass against the table reuses.
 """
 
 import csv
@@ -27,7 +29,7 @@ from .graph import er_seed
 from .ingest import read_edge_list, seed_subgraph
 from .models import GrowthPlan, directed_seed, grow_dmc, grow_price
 from .pool import pool_map
-from .rejection import ReferenceTableEntry, draw_prior
+from .rejection import ReferenceTable, ReferenceTableEntry, draw_prior
 from .seeding import mix_seed
 from .summaries import evaluate
 
@@ -186,8 +188,9 @@ def build_reference_table(cfg, out_path, workers=None):
 def load_reference_table(path, expected_hash=None):
     """Read a table CSV back into ReferenceTableEntry objects.
 
-    Returns (entries, failed_count, header columns). Failed rows are
-    excluded from the entries but counted.
+    Returns (entries, failed_count, header columns), the entries as a
+    ``ReferenceTable``. Failed rows are excluded from the entries but
+    counted.
     """
     entries = []
     failed = 0
@@ -214,4 +217,4 @@ def load_reference_table(path, expected_hash=None):
             gp_correlation=(float(row[corr_col])
                             if corr_col is not None else None),
         ))
-    return entries, failed, header
+    return ReferenceTable(entries), failed, header

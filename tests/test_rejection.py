@@ -14,6 +14,7 @@ from growabc.errors import (
 )
 from growabc.rejection import (
     PriorBox,
+    ReferenceTable,
     ReferenceTableEntry,
     accept_top_k_density,
     accept_top_k_distance,
@@ -95,11 +96,15 @@ class TestDistance:
             std_euclidean((1.0,), (1.0, 2.0), (1.0, 1.0))
 
 
+def random_table():
+    rng = np.random.default_rng(4)
+    return [entry(i, (rng.uniform(0, 1), rng.uniform(0, 1)),
+                  tuple(rng.normal(10, 3, 2))) for i in range(30)]
+
+
 class TestTopKDistance:
     def _table(self):
-        rng = np.random.default_rng(4)
-        return [entry(i, (rng.uniform(0, 1), rng.uniform(0, 1)),
-                      tuple(rng.normal(10, 3, 2))) for i in range(30)]
+        return random_table()
 
     def test_k_equals_table(self):
         table = self._table()
@@ -144,6 +149,89 @@ class TestTopKDistance:
         table = [entry(i, (0.5, 0.5), (float(i), 0.0)) for i in (4, 2, 8)]
         post = accept_top_k_distance(table, (7.0, 0.0), (1.0, 1.0), k=3)
         assert post.entry_ids == (8, 4, 2)
+
+
+def loop_top_k_distance(table, observed, sds, k):
+    """The per-entry loop that the columnar selection replaced, kept as
+    its oracle: (accepted pairs, entry ids)."""
+    scored = sorted(
+        ((std_euclidean(e.ext_summaries, observed, sds), e.entry_id, e)
+         for e in table),
+        key=lambda t: (t[0], t[1]))
+    top = scored[:k]
+    return ([(e.theta, dist) for dist, _, e in top],
+            tuple(i for _, i, _ in top))
+
+
+class TestColumnarDistance:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_distances_equal_std_euclidean_bitwise(self, m):
+        # a row sum in another order (einsum, (z*z).sum) differs in the
+        # last bit on about 0.5% of rows at m = 2
+        rng = np.random.default_rng(m)
+        scale = rng.uniform(0.1, 100.0, m)
+        ext = rng.normal(size=(10_000, m)) * scale
+        table = ReferenceTable(entry(i, (0.0,), tuple(row))
+                               for i, row in enumerate(ext))
+        observed = tuple(rng.normal(size=m) * scale)
+        sds = tuple(rng.uniform(0.5, 2.0, m) * scale)
+        post = accept_top_k_distance(table, observed, sds, k=len(table))
+        got = dict(zip(post.entry_ids, (d for _, d in post.accepted)))
+        mismatched = [e.entry_id for e in table
+                      if got[e.entry_id]
+                      != std_euclidean(e.ext_summaries, observed, sds)]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_matches_the_loop(self, seed, as_list):
+        # summaries on a coarse grid give many equal distances, and
+        # thetas from a pool of three give equal thetas
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 60))
+        ids = rng.permutation(size * 3)[:size]
+        pool = rng.uniform(0.0, 1.0, (3, 2))
+        entries = [entry(int(i), tuple(pool[rng.integers(3)]),
+                         tuple(rng.integers(-3, 4, 2).astype(float)))
+                   for i in ids]
+        observed = tuple(rng.integers(-2, 3, 2).astype(float))
+        sds = (1.0, float(rng.choice([1.0, 2.0, 0.5])))
+        k = int(rng.integers(1, size + 1))
+        table = entries if as_list else ReferenceTable(entries)
+        post = accept_top_k_distance(table, observed, sds, k, method="RE")
+        accepted, entry_ids = loop_top_k_distance(entries, observed, sds, k)
+        assert post.accepted == accepted
+        assert post.entry_ids == entry_ids
+        assert post.method == "RE" and post.k == k
+
+    def test_columns_are_built_once(self):
+        table = ReferenceTable(random_table())
+        columns = table.columns
+        accept_top_k_distance(table, (9.0, 11.0), (3.0, 3.0), k=5)
+        assert table.columns is columns
+        assert columns.entry_ids.dtype == np.int64
+        assert columns.ext.shape == (30, 2)
+        assert columns.thetas.shape == (30, 2)
+
+    def test_sequence_behaviour(self):
+        entries = random_table()
+        table = ReferenceTable(entries)
+        assert len(table) == 30
+        assert list(table) == entries
+        assert table[3] is entries[3]
+        with pytest.raises(TypeError):
+            table[0] = entries[1]
+
+    @pytest.mark.parametrize("observed,sds", [
+        ((1.0,), (1.0, 1.0)),
+        ((1.0, 1.0), (1.0,)),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    ])
+    def test_length_mismatch(self, observed, sds):
+        # broadcasting would accept a 1-vector against two summaries
+        table = ReferenceTable(random_table())
+        with pytest.raises(LengthMismatch):
+            accept_top_k_distance(table, observed, sds, k=3)
 
 
 class TestBivariateDensity:

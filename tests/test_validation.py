@@ -14,7 +14,8 @@ from growabc import table
 from growabc.config import RunConfig, apply_overrides
 from growabc.errors import ConfigError
 from growabc.experiment import abc_run, run_experiment
-from growabc.rejection import standardization_sds, std_euclidean
+from growabc.rejection import (ReferenceTable, standardization_sds,
+                               std_euclidean)
 from growabc.table import build_reference_table, load_reference_table
 
 BASE = dict(n_s=60, n_o=80, table_size=4, workers=1)
@@ -113,6 +114,45 @@ def test_accept_k_above_table_size_is_refused_before_the_build(tmp_path,
         else:
             abc_run(cfg, str(table_path), str(tmp_path / "run"))
     assert not table_path.exists()
+
+
+@pytest.mark.parametrize("run", ["experiment", "abc_run"])
+def test_accept_k_above_the_usable_rows_is_refused(tmp_path, run):
+    # abc_run used to raise KTooLarge from inside acceptance here, while
+    # run_experiment raised ConfigError
+    cfg = RunConfig(n_s=60, n_o=80, table_size=6, accept_k=3, workers=1)
+    table_path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(table_path))
+    lines = table_path.read_text().splitlines(keepends=True)
+    header = lines[1].strip().split(",")
+    for i in range(2, 6):  # four of six rows failed: two usable
+        row = lines[i].strip().split(",")
+        for j, col in enumerate(header):
+            if col.startswith("ext_"):
+                row[j] = "nan"
+        row[-1] = "1"
+        lines[i] = ",".join(row) + "\n"
+    table_path.write_text("".join(lines))
+    entries, failed, _ = load_reference_table(str(table_path))
+    assert (len(entries), failed) == (2, 4)
+    with pytest.raises(ConfigError, match="usable table size"):
+        if run == "experiment":
+            run_experiment(cfg, str(tmp_path))
+        else:
+            abc_run(cfg, str(table_path), str(tmp_path / "run"),
+                    observed=(1.0, 1.0))
+    assert not (tmp_path / "run" / "posterior.csv").exists()
+    assert not (tmp_path / "posterior_means.csv").exists()
+
+
+def test_loaded_table_is_a_reference_table(tmp_path):
+    cfg = RunConfig(n_s=60, n_o=80, table_size=4, workers=1)
+    path = build_reference_table(cfg, str(tmp_path / "table.csv"))
+    entries, _, _ = load_reference_table(path)
+    assert isinstance(entries, ReferenceTable)
+    assert entries.columns.entry_ids.tolist() == [1, 2, 3, 4]
+    assert entries.columns.ext.tolist() == [list(e.ext_summaries)
+                                            for e in entries]
 
 
 def test_posterior_ids_of_equal_thetas(tmp_path):
