@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DENSITY_METHODS, config_hash
 from .errors import ConfigError
-from .graph import sample_nodes, induced_triangles, triangle_count_scan
+from .graph import count_triangles, induced_triangles, sample_nodes
 from .pool import pool_map
 from .rejection import (
     accept_top_k_density,
@@ -90,6 +90,7 @@ def run_experiment(cfg, out_dir, workers=None):
         raise ConfigError("accept_k exceeds table_size")
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "table.csv")
+    # also builds the seed graph, which the observed runs' workers inherit
     build_reference_table(cfg, table_path, workers=workers)
     entries, failed, sds = load_checked_table(cfg, table_path)
 
@@ -215,7 +216,7 @@ def _time_observed_summary(cfg, reps):
     n_star = min(cfg.n_star, g.node_count)
     start = time.perf_counter()
     for _ in range(reps):
-        triangle_count_scan(g)
+        count_triangles(g)
     full = (time.perf_counter() - start) / reps
     start = time.perf_counter()
     for _ in range(reps):

@@ -78,7 +78,8 @@ def dmc_step(g, params, rng):
     the remaining steps of that order still need, so the stream is the
     same as with one ``rng.random()`` call per draw. The graph is then
     changed once, to its final state: the anchor's lost edges are
-    removed, and the duplicate is added with only the edges it keeps.
+    removed, and the duplicate is added with only the edges it keeps,
+    the link to the anchor among them.
     """
     v = int(rng.integers(g.node_count))
     nbrs = sorted(g.neighbors(v))
@@ -103,11 +104,11 @@ def dmc_step(g, params, rng):
         kept.append(w)
     if i == len(draws):
         draws += rng.random(1).tolist()
+    if draws[i] < params.q_c:
+        kept.append(v)
     for w in lost:
         g.remove_edge(v, w)
-    u = g.add_node_with_edges(kept)
-    if draws[i] < params.q_c:
-        g.add_edge(u, v)
+    g.add_node_with_edges(kept)
 
 
 def preferential_sample(in_degrees, k0, count, rng):
@@ -142,8 +143,12 @@ def price_step(g, params, rng):
 
 
 def _grow(seed, step, plan, rng):
+    """Grow a copy of ``seed``; the copy keeps a running triangle count
+    only when the plan reads one at its checkpoints."""
     plan.validate(seed.node_count)
-    g = seed.copy()
+    track = bool(plan.checkpoints) and any(
+        spec.kind == "triangle_count" for spec in plan.summaries)
+    g = seed.copy(track_triangles=track)
     cps = set(plan.checkpoints)
     rows = []
     while g.node_count < plan.n_target:
@@ -185,7 +190,7 @@ def directed_seed(n_seed, p, rng_seed):
     from .graph import er_seed
 
     und = er_seed(n_seed, p, rng_seed)
-    g = Graph(directed=True)
+    g = Graph(directed=True, track_triangles=True)
     for _ in range(n_seed):
         g.add_node()
     for u, v in und.edges():

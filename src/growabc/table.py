@@ -7,8 +7,9 @@ correlation. An entry fails only when its fit does (``NotConverged``,
 ``SingularKernel`` or ``OverflowError``): it then writes nan values and
 ``failed=1``. Any other exception stops the build, and
 ``RunConfig.validate`` refuses an invalid config before any entry is
-built; an edge-list seed file is read, and so checked, by the first
-entry. Rows are written incrementally and builds are resumable by entry
+built. The seed graph is built once, before any entry (an edge-list
+seed file is read, and so checked, then), and every entry grows a copy
+of it. Rows are written incrementally and builds are resumable by entry
 id, guarded by a config hash in the header comment. Resuming cuts off a
 last row without its newline (a build killed mid-write), and reading
 refuses a row whose field count differs from the header's. Reading
@@ -17,6 +18,7 @@ columns every acceptance pass against the table reuses.
 """
 
 import csv
+import functools
 import math
 import os
 
@@ -35,15 +37,33 @@ from .summaries import evaluate
 
 
 def build_seed_graph(cfg):
+    """The configured seed graph, built once per seed and cached, so
+    callers grow copies of it and never change it. A random seed is
+    keyed on its model and parameters; an edge-list seed on its path,
+    mtime and size, so an edited file is read again. The seed keeps a
+    running triangle count, so a growth that tracks triangles starts
+    from it without counting them again."""
     if cfg.seed_type == "edgelist":
-        g, node_ts = read_edge_list(cfg.seed_path,
-                                    directed=cfg.model == "price")
-        if cfg.seed_cutoff is None:
-            return g
-        return seed_subgraph(g, node_ts, cfg.seed_cutoff)
-    if cfg.model == "price":
-        return directed_seed(cfg.seed_n, cfg.seed_p, cfg.seed_rng)
-    return er_seed(cfg.seed_n, cfg.seed_p, cfg.seed_rng)
+        path = os.path.abspath(cfg.seed_path)
+        st = os.stat(path)
+        return _edge_list_seed(path, st.st_mtime_ns, st.st_size,
+                               cfg.model == "price", cfg.seed_cutoff)
+    return _random_seed(cfg.model, cfg.seed_n, cfg.seed_p, cfg.seed_rng)
+
+
+@functools.lru_cache(maxsize=4)
+def _edge_list_seed(path, mtime_ns, size, directed, cutoff):
+    g, node_ts = read_edge_list(path, directed=directed)
+    if cutoff is not None:
+        g = seed_subgraph(g, node_ts, cutoff)
+    return g.copy(track_triangles=True)
+
+
+@functools.lru_cache(maxsize=16)
+def _random_seed(model, seed_n, seed_p, seed_rng):
+    if model == "price":
+        return directed_seed(seed_n, seed_p, seed_rng)
+    return er_seed(seed_n, seed_p, seed_rng)
 
 
 def grow_to(cfg, theta, rng, n_target, checkpoints, specs):
@@ -161,8 +181,11 @@ def _table_rows(path, expected_hash=None):
 
 
 def build_reference_table(cfg, out_path, workers=None):
-    """Build (or resume) the reference table CSV; returns the path."""
+    """Build (or resume) the reference table CSV; returns the path.
+    The seed graph is built here, before the pool forks, so its workers
+    inherit it."""
     cfg.validate()
+    build_seed_graph(cfg)
     chash = config_hash(cfg)
     done = set()
     if os.path.exists(out_path):

@@ -14,11 +14,19 @@ from growabc.errors import (
 from growabc.graph import (
     Graph,
     NodeSample,
+    count_triangles,
     er_seed,
     induced_triangles,
     sample_nodes,
-    triangle_count_scan,
     write_edge_list,
+)
+from growabc.models import (
+    DmcParams,
+    GrowthPlan,
+    PriceParams,
+    directed_seed,
+    grow_dmc,
+    grow_price,
 )
 
 
@@ -32,8 +40,8 @@ def brute_force_triangles(g):
     return int(round(np.trace(a @ a @ a) / 6.0))
 
 
-def complete_graph(n):
-    g = Graph()
+def complete_graph(n, track_triangles=True):
+    g = Graph(track_triangles=track_triangles)
     for _ in range(n):
         g.add_node()
     for i in range(n):
@@ -42,8 +50,10 @@ def complete_graph(n):
     return g
 
 
-def random_graph(n, p, rng):
-    g = Graph()
+def random_graph(n, p, rng, track_triangles=True):
+    """G(n, p) that keeps a running triangle count, so the tests that
+    mutate it check the incremental bookkeeping."""
+    g = Graph(track_triangles=track_triangles)
     for _ in range(n):
         g.add_node()
     for i in range(n):
@@ -302,7 +312,97 @@ class TestInvariants:
     def test_scan_matches_counter(self):
         rng = np.random.default_rng(29)
         g = random_graph(25, 0.3, rng)
-        assert triangle_count_scan(g) == g.triangle_count
+        assert count_triangles(g) == g.triangle_count
+
+
+def _star(leaves):
+    g = Graph()
+    hub = g.add_node()
+    for _ in range(leaves):
+        g.add_node_with_edges([hub])
+    return g
+
+
+def _dmc_graph(q_m, q_c, n=1000):
+    _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(q_m, q_c), GrowthPlan(n),
+                    np.random.default_rng(0), return_graph=True)
+    return g
+
+
+def _price_graph():
+    _, g = grow_price(directed_seed(30, 0.2, 1), PriceParams(2.5, 0.005),
+                      GrowthPlan(600), np.random.default_rng(0),
+                      return_graph=True)
+    return g
+
+
+COUNT_CASES = {
+    "empty": lambda: Graph(),
+    "edgeless": lambda: random_graph(6, 0.0, np.random.default_rng(0),
+                                     track_triangles=False),
+    "k4": lambda: complete_graph(4, track_triangles=False),
+    "star": lambda: _star(12),
+    "er_seed": lambda: er_seed(30, 0.2, 7).copy(track_triangles=False),
+    "er_dense": lambda: er_seed(40, 0.6, 3).copy(track_triangles=False),
+    "dmc_truth_1000": lambda: _dmc_graph(0.25, 0.5),
+    "dmc_dense_corner_1000": lambda: _dmc_graph(0.15, 0.9),
+    "price_projection": _price_graph,
+}
+
+
+class TestCountTriangles:
+    @pytest.mark.parametrize("case", COUNT_CASES)
+    def test_matches_brute_force(self, case):
+        g = COUNT_CASES[case]()
+        assert not g.tracks_triangles
+        expected = brute_force_triangles(g) if g.node_count else 0
+        assert count_triangles(g) == expected
+        assert g.triangle_count == expected
+
+    @pytest.mark.parametrize("case", COUNT_CASES)
+    def test_matches_networkx(self, case):
+        nx = pytest.importorskip("networkx")
+        g = COUNT_CASES[case]()
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from(g.edges())
+        assert count_triangles(g) == sum(nx.triangles(h).values()) // 3
+
+
+class TestTrackedCopy:
+    def test_untracked_into_tracked_starts_from_the_count(self):
+        rng = np.random.default_rng(31)
+        g = random_graph(30, 0.3, rng, track_triangles=False)
+        tracked = g.copy(track_triangles=True)
+        assert tracked.tracks_triangles and not g.tracks_triangles
+        assert tracked._triangle_count == brute_force_triangles(g)
+        for _ in range(40):
+            if rng.random() < 0.4:
+                u, v = list(tracked.edges())[rng.integers(
+                    tracked.edge_count)]
+                tracked.remove_edge(u, v)
+            else:
+                k = int(rng.integers(0, 6))
+                tracked.add_node_with_edges(rng.choice(
+                    tracked.node_count, size=k, replace=False).tolist())
+            assert tracked.triangle_count == brute_force_triangles(tracked)
+
+    def test_copy_keeps_or_drops_tracking(self):
+        g = complete_graph(5)
+        assert g.copy().tracks_triangles
+        untracked = g.copy(track_triangles=False)
+        assert not untracked.tracks_triangles
+        assert not untracked.copy().tracks_triangles
+        untracked.remove_edge(0, 1)
+        assert (g.triangle_count, untracked.triangle_count) == (10, 7)
+
+    def test_untracked_mutations_skip_the_count(self):
+        g = random_graph(20, 0.3, np.random.default_rng(2),
+                         track_triangles=False)
+        g.add_node_with_edges([0, 1, 2, 3])
+        g.remove_edge(*next(g.edges()))
+        assert g._triangle_count is None
+        assert g.triangle_count == brute_force_triangles(g)
 
 
 class TestDirected:

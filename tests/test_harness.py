@@ -26,7 +26,7 @@ from growabc.table import (
     build_seed_graph,
     load_reference_table,
 )
-from growabc import cli
+from growabc import cli, graph, table
 
 
 SMALL = dict(n_s=60, n_o=80, table_size=6, accept_k=3, exp_replicates=3,
@@ -347,6 +347,66 @@ class TestExperiment:
             a = open(os.path.join(outs[1], name), "rb").read()
             b = open(os.path.join(outs[2], name), "rb").read()
             assert a == b, name
+
+
+class TestSeedGraph:
+    def test_built_once_per_run(self, tmp_path, monkeypatch):
+        # every er_seed call, in this process or a pool worker, appends
+        # one line; the workers fork after the seed is built
+        calls = tmp_path / "calls"
+        er = table.er_seed
+
+        def counted(*args):
+            with open(calls, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            return er(*args)
+
+        monkeypatch.setattr(table, "er_seed", counted)
+        table._random_seed.cache_clear()
+        cfg = small_cfg(table_size=8, exp_replicates=4, seed_rng=5)
+        run_experiment(cfg, str(tmp_path / "exp"), workers=2)
+        abc_run(cfg, str(tmp_path / "exp" / "table.csv"),
+                str(tmp_path / "run"))
+        assert calls.read_text().splitlines() == [str(os.getpid())]
+        assert build_seed_graph(cfg) is build_seed_graph(cfg)
+
+    def test_edited_edge_list_is_read_again(self, tmp_path):
+        path = tmp_path / "seed.edges"
+        path.write_text("0 1\n1 2\n2 0\n")
+        cfg = small_cfg(seed_type="edgelist", seed_path=str(path))
+        first = build_seed_graph(cfg)
+        assert build_seed_graph(cfg) is first
+        path.write_text("0 1\n1 2\n2 3\n3 0\n")
+        second = build_seed_graph(cfg)
+        assert (first.node_count, second.node_count) == (3, 4)
+        assert (first.triangle_count, second.triangle_count) == (1, 0)
+
+    def test_tracked_growth_does_not_count_the_seed_again(self, tmp_path,
+                                                           monkeypatch):
+        counted = []
+        count = graph.count_triangles
+        monkeypatch.setattr(graph, "count_triangles",
+                            lambda g: counted.append(g.node_count)
+                            or count(g))
+        path = tmp_path / "seed.edges"
+        path.write_text("".join("%d %d\n" % (i, (i + 1) % 12)
+                                for i in range(12)) + "0 2\n")
+        for name, cfg in (
+                ("er", small_cfg(table_size=4, seed_rng=11)),
+                ("edgelist", small_cfg(table_size=4, seed_type="edgelist",
+                                       seed_path=str(path)))):
+            del counted[:]
+            build_reference_table(cfg, str(tmp_path / (name + ".csv")),
+                                  workers=1)
+            # at most the one count that loads an edge-list seed
+            assert counted == ([] if name == "er" else [12])
+
+    def test_entries_grow_copies_of_the_seed(self, tmp_path):
+        cfg = small_cfg(table_size=4)
+        seed = build_seed_graph(cfg)
+        edges = list(seed.edges())
+        build_reference_table(cfg, str(tmp_path / "table.csv"), workers=1)
+        assert list(build_seed_graph(cfg).edges()) == edges
 
 
 class TestTiming:

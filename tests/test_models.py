@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare, spearmanr
 
 from growabc.errors import CountTooLarge, PlanInvalid
-from growabc.graph import Graph, er_seed
+from growabc.graph import Graph, count_triangles, er_seed
 from growabc.models import (
     DmcParams,
     GrowthPlan,
@@ -83,8 +83,10 @@ class TestDmcStream:
     def test_same_draws_and_graph_as_one_call_per_draw(self, q_m, q_c):
         params = DmcParams(q_m, q_c)
         for seed in range(3):
+            # dmc_step keeps the running count; the reference counts
+            # from scratch
             fast = er_seed(10, 0.4, seed)
-            ref = fast.copy()
+            ref = fast.copy(track_triangles=False)
             rng_fast = np.random.default_rng(seed)
             rng_ref = np.random.default_rng(seed)
             for _ in range(300):
@@ -107,6 +109,48 @@ class TestDmcStream:
         text = "".join("%d %d\n" % e for e in g.edges())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1712f09c8480c4f1eb66400158978cf61059c5c8536513cc3671c64a3db25168")
+
+
+# the corners of the default prior box, and the corners of the model
+TRACKING_THETAS = [(0.15, 0.1), (0.15, 0.9), (0.35, 0.1), (0.35, 0.9),
+                   (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+class TestTriangleTracking:
+    @pytest.mark.parametrize("theta", TRACKING_THETAS)
+    def test_tracked_and_untracked_growth_agree(self, theta):
+        params = DmcParams(*theta)
+        seed = er_seed(30, 0.2, 1)
+        tracked = seed.copy(track_triangles=True)
+        untracked = seed.copy(track_triangles=False)
+        rng_t, rng_u = np.random.default_rng(9), np.random.default_rng(9)
+        for step in range(1, 271):
+            dmc_step(tracked, params, rng_t)
+            dmc_step(untracked, params, rng_u)
+            if step % 15 == 0:
+                assert tracked.triangle_count == untracked.triangle_count
+        assert list(tracked.edges()) == list(untracked.edges())
+        assert tracked.triangle_count == brute_force_triangles(untracked)
+        assert rng_t.bit_generator.state == rng_u.bit_generator.state
+
+    @pytest.mark.parametrize("theta", TRACKING_THETAS)
+    def test_grow_tracks_only_when_a_checkpoint_reads_triangles(self,
+                                                                theta):
+        seed = er_seed(30, 0.2, 1)
+        plans = {
+            True: GrowthPlan(300, (150, 300), TRACK_BOTH),
+            False: GrowthPlan(300, (150, 300), (SummarySpec("avg_degree"),)),
+            None: GrowthPlan(300),
+        }
+        grown = {key: grow_dmc(seed, DmcParams(*theta), plan,
+                               np.random.default_rng(4), return_graph=True)
+                 for key, plan in plans.items()}
+        series, tracked = grown[True]
+        for key, (_, g) in grown.items():
+            assert g.tracks_triangles == bool(key)
+            assert list(g.edges()) == list(tracked.edges())
+        assert series.column("triangle_count")[-1] == count_triangles(
+            grown[None][1])
 
 
 class TestGrowDmc:

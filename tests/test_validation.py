@@ -39,8 +39,8 @@ PROBES = {
 
 @pytest.mark.parametrize("name", PROBES)
 def test_probed_config_fails_before_any_entry(tmp_path, monkeypatch, name):
-    # only an edge-list file is read by the entries: the first one raises
-    # and no data row is written
+    # an edge-list seed file is read once, before any entry, and raises
+    # there; no data row is written
     missing_file = name == "edgelist_missing_file"
     built, build_entry = [], table._build_entry
     monkeypatch.setattr(table, "_build_entry",
@@ -50,7 +50,7 @@ def test_probed_config_fails_before_any_entry(tmp_path, monkeypatch, name):
         cfg = apply_overrides(RunConfig(**BASE), [
             item.format(tmp=tmp_path) for item in PROBES[name]])
         build_reference_table(cfg, str(path))
-    assert built == ([1] if missing_file else [])
+    assert built == []
     if path.exists():
         assert len(path.read_text().splitlines()) == 2  # hash + header
 
