@@ -77,7 +77,8 @@ class RunConfig:
                 raise ConfigError("%s must be one of %s, not %r"
                                   % (name, allowed, getattr(self, name)))
         try:
-            kinds = {spec.kind for spec in self.summary_specs()}
+            specs = self.summary_specs()
+            kinds = {spec.kind for spec in specs}
             cps = self.checkpoints()
             self.prior_box()
             for theta in (self.prior_low, self.prior_high,
@@ -101,6 +102,10 @@ class RunConfig:
                 (self.n_s > self.n_o, "n_s must be <= n_o"),
                 (self.method == "RE" and not sampled,
                  "method RE needs a sample_triangle_count summary"),
+                # the density they accept by is bivariate
+                (self.method in DENSITY_METHODS and len(specs) != 2,
+                 "method %s needs exactly two summaries, not %d"
+                 % (self.method, len(specs))),
                 (self.model == "dmc" and kinds & set(DIRECTED_KINDS),
                  "in-degree summaries need model=price"),
                 (self.seed_type == "edgelist" and not self.seed_path,

@@ -12,14 +12,15 @@ original units by variable projection (Golub & Pereyra, 1973): the other
 parameters enter linearly and are solved in closed form, so the SSE
 profile is scanned on a grid of the nonlinear ones and its lowest local
 minima are polished. ``log a`` keeps the digamma ``a`` positive. The
-inverse fit is the power_offset solve at ``c = -1``.
+inverse fit is the power_offset solve at ``c = -1``. Only the digamma
+family calls SciPy (``scipy.special``), imported on its first use.
 """
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import digamma as psi0
-from scipy.special import polygamma, zeta
 
 from .errors import NonFiniteInput, NotConverged, TooFewPoints
 
@@ -48,8 +49,19 @@ _EPS_FIT = 1e-14
 _MAX_ITER = 100
 _MIN_STEP = 2.0 ** -30
 _FD_STEP = 1e-6
-# Taylor coefficients of euler_gamma + digamma(1 + x), highest first
-_H_SERIES = [(-1.0) ** k * zeta(k) for k in range(9, 1, -1)] + [0.0]
+
+
+@functools.cache
+def load_scipy():
+    """``scipy.special``'s digamma and polygamma, and the Taylor
+    coefficients of ``euler_gamma + digamma(1 + x)``, highest first,
+    imported and built on first use: only the digamma family needs
+    them."""
+    from scipy.special import digamma, polygamma, zeta
+
+    h_series = [(-1.0) ** k * zeta(k) for k in range(9, 1, -1)] + [0.0]
+    return SimpleNamespace(digamma=digamma, polygamma=polygamma,
+                           h_series=h_series)
 
 
 @dataclass(frozen=True)
@@ -71,8 +83,9 @@ class LsFit:
 def _digamma_h(x):
     """``euler_gamma + digamma(x + 1)``; the sum cancels for small ``x``,
     where its Taylor series is summed instead."""
-    series = np.polyval(_H_SERIES, np.minimum(x, 0.01))
-    return np.where(x < 0.01, series, EULER_GAMMA + psi0(x + 1.0))
+    special = load_scipy()
+    series = np.polyval(special.h_series, np.minimum(x, 0.01))
+    return np.where(x < 0.01, series, EULER_GAMMA + special.digamma(x + 1.0))
 
 
 def evaluate_form(family, params, n):
@@ -97,7 +110,7 @@ def _jacobian(family, params, n):
     if family == "digamma":
         a, c, d = params
         h = _digamma_h(a * n)
-        dh_dlog_a = polygamma(1, a * n + 1.0) * a * n
+        dh_dlog_a = load_scipy().polygamma(1, a * n + 1.0) * a * n
         return np.column_stack([c * h ** (c - 1.0) * dh_dlog_a,
                                 h ** c * np.log(h), np.ones_like(n)])
     nc = n ** params[1]

@@ -11,19 +11,18 @@ the kernel parameters of that profiled objective. The predictive
 mean/variance at a larger node count is read off the usual
 conditional-normal formulas. The hyperparameter-free parts of the Gram
 matrix (warped node counts, squared distances, noise positions) are
-built once per fit_map grid.
+built once per fit_map grid. The SciPy routines (``scipy.linalg`` and
+``scipy.optimize``) are imported on the first fit or prediction.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
 
 from .errors import NotConverged, SingularKernel, TooFewPoints
 
@@ -75,6 +74,19 @@ class GpPredictive:
 
 
 CorrelationResult = namedtuple("CorrelationResult", ["value", "degenerate"])
+
+
+@functools.cache
+def load_scipy():
+    """The LAPACK/BLAS routines and the optimizer this module calls,
+    imported on first use and bound once per process."""
+    from scipy.linalg import cho_solve
+    from scipy.linalg.blas import dger
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+    from scipy.optimize import minimize
+
+    return SimpleNamespace(cho_solve=cho_solve, dger=dger, dpotrf=dpotrf,
+                           dpotri=dpotri, dpotrs=dpotrs, minimize=minimize)
 
 
 def _warp(x, warp):
@@ -134,6 +146,7 @@ def _chol_with_jitter(k):
     scale = np.trace(k) / k.shape[0]
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
+    dpotrf = load_scipy().dpotrf
     for jit in _JITTERS:
         c, info = dpotrf(k + jit * scale * np.eye(k.shape[0]) if jit else k,
                          lower=1, clean=1)
@@ -146,7 +159,7 @@ def _amplitude(chol, s, h, center, sd):
     """MAP amplitude a of the mean a*h under its normal prior, given the
     Cholesky factor of K, and K^-1 (s - a*h): one solve with the two
     right-hand sides s and h (GPML sec. 2.7, explicit basis functions)."""
-    sol, _ = dpotrs(chol, np.array([s, h]).T, lower=1)
+    sol, _ = load_scipy().dpotrs(chol, np.array([s, h]).T, lower=1)
     ks, kh = sol[:, 0], sol[:, 1]
     a = (h @ ks + center / sd ** 2) / (h @ kh + 1.0 / sd ** 2)
     return a, ks - a * kh
@@ -215,9 +228,10 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
         # update by -alpha alpha^T / 2 it becomes a matrix m whose sum
         # against any symmetric dK is 0.5 * tr(W dK); m is used through
         # its C-ordered transpose.
-        m, _ = dpotri(chol, lower=1, overwrite_c=1)
+        lapack = load_scipy()
+        m, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
         m.flat[::len(grid) + 1] *= 0.5
-        m = dger(-0.5, alpha_vec, alpha_vec, a=m, overwrite_a=1).T
+        m = lapack.dger(-0.5, alpha_vec, alpha_vec, a=m, overwrite_a=1).T
         w, _, d2, same = terms
         m_rbf = None if rbf is None else m * rbf
         m_lin = m if lin is None else m_rbf
@@ -276,6 +290,7 @@ def fit_map(grid, s, spec, ls_init):
 
     args = (spec, grid, s, prior_centers, prior_sds, _grid_terms(spec, grid))
     best = None
+    minimize = load_scipy().minimize
     for kern0 in kern_starts:
         res = minimize(_neg_log_posterior_grad,
                        np.array([c0] + [kern0[n] for n in names], float),
@@ -302,7 +317,7 @@ def _ensure_solve(fit):
         k = gram_matrix(fit.spec, fit.hyper, fit.grid)
         fit._cho = _chol_with_jitter(k)
         r = fit.values - _mean(fit.mean_params, fit.grid)
-        fit._weights = cho_solve(fit._cho, r)
+        fit._weights = load_scipy().cho_solve(fit._cho, r)
 
 
 def predict(fit, n_o):
@@ -318,7 +333,7 @@ def predict(fit, n_o):
     k_star = gram_matrix(fit.spec, fit.hyper, x, fit.grid, noise=False)[0]
     mean = float(_mean(fit.mean_params, x)[0] + k_star @ fit._weights)
     k_nn = kernel_value(fit.spec, fit.hyper, n_o, n_o)  # includes sigma2
-    var = k_nn - float(k_star @ cho_solve(fit._cho, k_star))
+    var = k_nn - float(k_star @ load_scipy().cho_solve(fit._cho, k_star))
     if var <= 0.0:
         var = 1e-12 * max(abs(k_nn), 1.0)
     return GpPredictive(mean=mean, variance=var)

@@ -4,16 +4,17 @@ Node ids are dense integers assigned in insertion order; nodes are never
 removed. Triangles are counted on the undirected projection. A graph
 built with ``track_triangles=True`` keeps a running count, O(degree) per
 mutation; any other graph counts its triangles from scratch when asked
-(``count_triangles``), so a graph whose count is read once, or never,
+(``count_triangles``, the one user of ``scipy.sparse``, which it
+imports on first use), so a graph whose count is read once, or never,
 pays nothing per mutation.
 """
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConnectivityUnreachable,
@@ -285,6 +286,15 @@ def induced_triangles(g, sample):
 _BLOCK_ROWS = 256  # rows of U per product in count_triangles
 
 
+@functools.cache
+def load_scipy():
+    """``scipy.sparse``, imported on first use: only a graph whose
+    triangles are counted from scratch needs it."""
+    from scipy import sparse
+
+    return sparse
+
+
 def count_triangles(g):
     """Exact triangle count of the undirected projection, from scratch.
 
@@ -312,6 +322,7 @@ def count_triangles(g):
     indptr = kept[starts]
     indices = nbr[up]
     del deg, starts, rank, nbr, up, kept  # free scratch before the products
+    sparse = load_scipy()
     u = sparse.csr_array((np.ones(len(indices), dtype=np.int32), indices,
                           indptr), shape=(n, n))
     total = 0

@@ -9,12 +9,13 @@ correlation. An entry fails only when its fit does (``NotConverged``,
 ``RunConfig.validate`` refuses an invalid config before any entry is
 built. The seed graph is built once, before any entry (an edge-list
 seed file is read, and so checked, then), and every entry grows a copy
-of it. Rows are written incrementally and builds are resumable by entry
-id, guarded by a config hash in the header comment. Resuming cuts off a
-last row without its newline (a build killed mid-write), and reading
-refuses a row whose field count differs from the header's. Reading
-returns the usable rows as a ``rejection.ReferenceTable``, whose NumPy
-columns every acceptance pass against the table reuses.
+of it; the SciPy modules the entries call are imported then too. Rows
+are written incrementally and builds are resumable by entry id, guarded
+by a config hash in the header comment. Resuming cuts off a last row
+without its newline (a build killed mid-write), and reading refuses a
+row whose field count differs from the header's. Reading returns the
+usable rows as a ``rejection.ReferenceTable``, whose NumPy columns
+every acceptance pass against the table reuses.
 """
 
 import csv
@@ -24,7 +25,7 @@ import os
 
 import numpy as np
 
-from . import curvefit, gp
+from . import curvefit, gp, graph
 from .config import GP_METHODS, config_hash
 from .errors import ConfigError, NotConverged, SingularKernel
 from .graph import er_seed
@@ -180,12 +181,38 @@ def _table_rows(path, expected_hash=None):
             yield row
 
 
+def _load_task_scipy(cfg):
+    """Import the SciPy modules that the config's table entries and
+    observed networks call, and no other:
+
+    - ``scipy.sparse`` with a ``triangle_count`` summary, for the graphs
+      that count their triangles once, from scratch (observed networks,
+      method S entries, auxiliary draws);
+    - ``scipy.linalg`` and ``scipy.optimize`` for the GP methods;
+    - ``scipy.special`` for a digamma-family fit (LS and RE).
+    """
+    specs = cfg.summary_specs()
+    if any(spec.kind == "triangle_count" for spec in specs):
+        graph.load_scipy()
+    if cfg.method in GP_METHODS:
+        gp.load_scipy()
+    if cfg.method in ("LS", "RE") and any(
+            curvefit.DEFAULT_FAMILY_BY_KIND[spec.kind] == "digamma"
+            for spec in specs):
+        curvefit.load_scipy()
+
+
 def build_reference_table(cfg, out_path, workers=None):
     """Build (or resume) the reference table CSV; returns the path.
-    The seed graph is built here, before the pool forks, so its workers
-    inherit it."""
+
+    The seed graph is built, and the SciPy modules that the config's
+    tasks call are imported (``_load_task_scipy``), here, before the pool
+    forks: its workers inherit both, and no worker imports SciPy itself.
+    ``run_experiment``'s observed-network pool, forked after this call,
+    inherits them too."""
     cfg.validate()
     build_seed_graph(cfg)
+    _load_task_scipy(cfg)
     chash = config_hash(cfg)
     done = set()
     if os.path.exists(out_path):

@@ -356,6 +356,16 @@ class TestTopKDensity:
             accept_top_k_density(table, (1.0, 1.0), k=1, inflate=1.0,
                                  rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("observed", [(1.0, 2.0, 99.0), (1.0,)],
+                             ids=["three", "one"])
+    def test_length_mismatch(self, observed):
+        # the third value used to be ignored, and a 1-vector raised
+        # IndexError
+        with pytest.raises(LengthMismatch):
+            accept_top_k_density(ReferenceTable(self._table()), observed,
+                                 k=3, inflate=1.0,
+                                 rng=np.random.default_rng(0))
+
     def test_gp_fields_must_come_together(self):
         with pytest.raises(MissingGpFields):
             entry(0, (0.5, 0.5), (1.0, 1.0), variances=(1.0, 1.0))

@@ -62,13 +62,28 @@ def test_probed_config_fails_before_any_entry(tmp_path, monkeypatch, name):
          summaries="in_degree_mean", truths="2.5:0.005"),
     dict(checkpoint_start=55, summaries="avg_degree,sample_triangle_count",
          n_star=35),
+    # GPa and GPb accept by a bivariate density: one summary used to
+    # fit every entry and then raise IndexError, a third one was
+    # dropped from acceptance with gp_corr written as 0.0
+    dict(method="GPa", summaries="avg_degree"),
+    dict(method="GPb", n_star=35,
+         summaries="avg_degree,triangle_count,sample_triangle_count"),
 ], ids=["q_m_above_one", "truth_outside_model", "k0_zero",
-        "fewer_checkpoints_than_ls_parameters"])
+        "fewer_checkpoints_than_ls_parameters", "gpa_with_one_summary",
+        "gpb_with_three_summaries"])
 def test_other_invalid_configs_are_refused_up_front(tmp_path, overrides):
     cfg = RunConfig(**dict(BASE, **overrides))
     with pytest.raises(ConfigError):
         build_reference_table(cfg, str(tmp_path / "table.csv"))
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("summaries", [
+    "avg_degree", "avg_degree,triangle_count,sample_triangle_count"])
+def test_gpc_takes_any_number_of_summaries(summaries):
+    # GPc accepts by distance
+    RunConfig(**dict(BASE, method="GPc", n_star=35,
+                     summaries=summaries)).validate()
 
 
 def _default_text(value):
