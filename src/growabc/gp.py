@@ -94,25 +94,32 @@ def _warp(x, warp):
 
 
 def _grid_terms(spec, x, y=None):
-    """Warped x and y, squared distances and the index of the noise
-    entries: the parts of the Gram that no hyperparameter changes."""
+    """Warped x and y, squared distances, the index of the noise
+    entries, and the distinct squared distances with the index that
+    maps them back onto the matrix: the parts of the Gram that no
+    hyperparameter changes."""
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    return (_warp(x, spec.warp), _warp(y, spec.warp),
-            (x[:, None] - y[None, :]) ** 2,
-            np.nonzero(x[:, None] == y[None, :]))
+    d2 = (x[:, None] - y[None, :]) ** 2
+    d2_unique, d2_index = np.unique(d2, return_inverse=True)
+    return (_warp(x, spec.warp), _warp(y, spec.warp), d2,
+            np.nonzero(x[:, None] == y[None, :]),
+            (d2_unique, d2_index.reshape(d2.shape)))
 
 
 def _assemble(spec, kp, terms, noise=True):
     """Gram matrix from _grid_terms and the kernel parameters ``kp`` (a
     mapping by name), with its RBF part and, for linear_times_rbf, its
-    linear part."""
-    wx, wy, d2, same = terms
+    linear part. The RBF exponential is taken once per distinct
+    distance: a grid's d2 repeats each spacing many times, and exp is
+    ~16x slower where it underflows, as a third of a 94-point block does
+    when rho is near the grid spacing."""
+    wx, wy, _, same, (d2_unique, d2_index) = terms
     k = np.multiply.outer(kp["alpha"] * wx, wy)
     k += kp["gamma"]
     lin = rbf = None
     if spec.family != "linear_only":
-        rbf = np.exp(d2 * (-0.5 / kp["rho"] ** 2))
+        rbf = np.exp(d2_unique * (-0.5 / kp["rho"] ** 2)).take(d2_index)
         if spec.family == "linear_plus_rbf":
             k += kp["beta"] * rbf
         else:
@@ -232,7 +239,7 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
         m, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
         m.flat[::len(grid) + 1] *= 0.5
         m = lapack.dger(-0.5, alpha_vec, alpha_vec, a=m, overwrite_a=1).T
-        w, _, d2, same = terms
+        w, _, d2, same, _ = terms
         m_rbf = None if rbf is None else m * rbf
         m_lin = m if lin is None else m_rbf
         traces = {"sigma2": m[same].sum(), "alpha": w @ m_lin @ w,

@@ -2,11 +2,17 @@
 
 Node ids are dense integers assigned in insertion order; nodes are never
 removed. Triangles are counted on the undirected projection. A graph
-built with ``track_triangles=True`` keeps a running count, O(degree) per
-mutation; any other graph counts its triangles from scratch when asked
-(``count_triangles``, the one user of ``scipy.sparse``, which it
-imports on first use), so a graph whose count is read once, or never,
-pays nothing per mutation.
+built with ``track_triangles=True`` keeps a running count: beside its
+neighbor sets it holds one Python ``int`` per node, a bitmask of the
+node's neighbors, and each mutation updates the count by popcounts of
+those masks (O(degree) integer operations on n-bit masks). The masks
+cost about n**2 / 8 bytes plus an int header per node: 44-50 KB at 500
+nodes and 3.0-3.5 MB at 5,000 on DMC graphs, against 0.5-1.5 MB and
+10-81 MB for the neighbor sets. Any other graph holds no masks, keeps
+no count and counts its triangles from scratch when asked
+(``count_triangles``, the one user of ``scipy.sparse``, which it imports
+on first use), so a graph whose count is read once, or never, pays
+nothing per mutation.
 """
 
 import functools
@@ -37,10 +43,12 @@ class Graph:
     """Mutable growing graph, undirected or directed.
 
     The undirected projection is always maintained (``_adj``). With
-    ``track_triangles`` the graph also keeps a running triangle count of
-    it; otherwise ``triangle_count`` counts from scratch on each read.
-    Directed graphs additionally keep in/out neighbor sets; edges never
-    duplicate in the projection and self-loops are rejected.
+    ``track_triangles`` the graph also keeps a neighbor bitmask per node
+    (``_bits``, about n**2 / 8 bytes in all) and, from their popcounts, a
+    running triangle count of the projection; otherwise it holds neither,
+    and ``triangle_count`` counts from scratch on each read. Directed
+    graphs additionally keep in/out neighbor sets; edges never duplicate
+    in the projection and self-loops are rejected.
     """
 
     def __init__(self, directed=False, track_triangles=False):
@@ -50,8 +58,10 @@ class Graph:
         self._in = [] if directed else None
         self._edge_count = 0    # projection edges
         self._arc_count = 0     # directed edges (directed graphs only)
-        # running triangle count; None when counted on demand
+        # running triangle count and projection neighbor bitmasks (bit w
+        # of _bits[u] set iff u-w is an edge); None when counted on demand
         self._triangle_count = 0 if track_triangles else None
+        self._bits = [] if track_triangles else None
 
     @property
     def node_count(self):
@@ -81,6 +91,8 @@ class Graph:
 
     def add_node(self):
         self._adj.append(set())
+        if self._bits is not None:
+            self._bits.append(0)
         if self.directed:
             self._out.append(set())
             self._in.append(set())
@@ -91,8 +103,10 @@ class Graph:
 
         A running triangle count increases by the number of projection
         edges among the neighbors (each such edge closes one new
-        triangle); each is probed once, from the neighbor listed first.
-        The ids are checked once per call, before anything changes.
+        triangle); each is counted once, from the neighbor listed later,
+        as the popcount of its bitmask and the mask of the neighbors
+        before it. The ids are checked once per call, before anything
+        changes.
         """
         nbrs = list(neighbors)
         nbset = set(nbrs)
@@ -102,14 +116,23 @@ class Graph:
             for w in nbrs:
                 self._check_node(w)
         adj = self._adj
-        if self._triangle_count is not None:
-            for w in nbrs:
-                nbset.discard(w)
-                self._triangle_count += len(adj[w] & nbset)
         u = self.add_node()
         adj[u].update(nbrs)
-        for w in nbrs:
-            adj[w].add(u)
+        bits = self._bits
+        if bits is None:
+            for w in nbrs:
+                adj[w].add(u)
+        else:
+            bit = 1 << u
+            mask = closed = 0
+            for w in nbrs:
+                adj[w].add(u)
+                bw = bits[w]
+                closed += (bw & mask).bit_count()
+                bits[w] = bw | bit
+                mask |= 1 << w
+            bits[u] = mask
+            self._triangle_count += closed
         if self.directed:
             self._out[u].update(nbrs)
             for w in nbrs:
@@ -132,8 +155,12 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if v in self._adj[u]:
             raise ValueError("edge (%d, %d) already present" % (u, v))
-        if self._triangle_count is not None:
-            self._triangle_count += len(self._adj[u] & self._adj[v])
+        bits = self._bits
+        if bits is not None:
+            bu, bv = bits[u], bits[v]
+            self._triangle_count += (bu & bv).bit_count()
+            bits[u] = bu | 1 << v
+            bits[v] = bv | 1 << u
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._edge_count += 1
@@ -147,8 +174,11 @@ class Graph:
         self._check_node(v)
         if v not in self._adj[u]:
             raise MissingEdge((u, v))
-        if self._triangle_count is not None:
-            self._triangle_count -= len(self._adj[u] & self._adj[v])
+        bits = self._bits
+        if bits is not None:
+            bits[u] = bu = bits[u] ^ 1 << v
+            bits[v] = bv = bits[v] ^ 1 << u
+            self._triangle_count -= (bu & bv).bit_count()
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
@@ -197,7 +227,9 @@ class Graph:
     def copy(self, track_triangles=None):
         """Independent copy. It keeps a running triangle count when
         ``track_triangles`` says so (by default, when this graph does),
-        starting from this graph's count."""
+        starting from this graph's count and bitmasks; a tracked copy of
+        an untracked graph counts once from scratch and builds its
+        bitmasks from the neighbor sets."""
         if track_triangles is None:
             track_triangles = self.tracks_triangles
         g = Graph(directed=self.directed)
@@ -209,6 +241,8 @@ class Graph:
         g._arc_count = self._arc_count
         if track_triangles:
             g._triangle_count = self.triangle_count
+            g._bits = (list(self._bits) if self._bits is not None
+                       else [_mask(s) for s in self._adj])
         return g
 
     def edges(self):
@@ -223,6 +257,14 @@ class Graph:
                 for v in sorted(self._adj[u]):
                     if v > u:
                         yield (u, v)
+
+
+def _mask(ids):
+    """Bitmask with bit w set for each id w."""
+    m = 0
+    for w in ids:
+        m |= 1 << w
+    return m
 
 
 def er_seed(n_seed, p, rng_seed, max_retries=10_000):

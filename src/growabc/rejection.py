@@ -173,18 +173,22 @@ def accept_top_k_density(table, observed, k, inflate, rng, method="GPa"):
 
     Entries whose densities underflow to zero only fill remaining slots,
     chosen uniformly at random among themselves; the number of such
-    fills is reported on the posterior. An ``observed`` vector whose
-    length differs from an entry's summary count raises LengthMismatch.
+    fills is reported on the posterior. The density is bivariate, so an
+    ``observed`` vector or an entry that does not hold exactly two
+    summaries raises LengthMismatch.
     """
     if k > len(table):
         raise KTooLarge("k=%d > table size %d" % (k, len(table)))
-    m = len(observed)
+    if len(observed) != 2:
+        raise LengthMismatch("observed has %d summaries, the density needs 2"
+                             % len(observed))
     for e in table:
         if e.gp_variances is None or e.gp_correlation is None:
             raise MissingGpFields("entry %d lacks GP fields" % e.entry_id)
-        if len(e.ext_summaries) != m:
-            raise LengthMismatch("observed has %d summaries, entry %d has %d"
-                                 % (m, e.entry_id, len(e.ext_summaries)))
+        if len(e.ext_summaries) != 2:
+            raise LengthMismatch("entry %d has %d summaries, the density "
+                                 "needs 2" % (e.entry_id,
+                                              len(e.ext_summaries)))
     densities = [
         (bivariate_density(e.ext_summaries, e.gp_variances,
                            e.gp_correlation, observed, inflate), e)

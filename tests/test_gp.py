@@ -149,6 +149,39 @@ class TestKernelValue:
             assert eigvals.min() >= -1e-8 * np.trace(k)
 
 
+IRREGULAR_GRID = np.unique(np.random.default_rng(3).integers(35, 501, 60)
+                           ).astype(float)
+
+
+class TestRbfGather:
+    """The RBF block is exp over the distinct squared distances,
+    gathered back onto the matrix; it must equal exp over the whole
+    matrix bit for bit, also where it underflows."""
+
+    @pytest.mark.parametrize("grid", [GRID, IRREGULAR_GRID],
+                             ids=["default", "irregular"])
+    @pytest.mark.parametrize("rho", ["min_spacing", 25.0])
+    @pytest.mark.parametrize("cross", [False, True],
+                             ids=["square", "cross"])
+    def test_equals_exp_of_the_matrix(self, grid, rho, cross):
+        from growabc.gp import _assemble, _grid_terms
+
+        if rho == "min_spacing":
+            rho = float(np.min(np.diff(grid)))
+        spec = KernelSpec("linear_plus_rbf", "identity")
+        x = np.array([1000.0, 37.5]) if cross else grid
+        terms = _grid_terms(spec, x, grid)
+        d2 = (x[:, None] - grid[None, :]) ** 2
+        hyper = GpHyper(alpha=0.5, gamma=0.1, beta=2.0, rho=rho, sigma2=1.0)
+        _, _, rbf = _assemble(spec, vars(hyper), terms)
+        expected = np.exp(d2 * (-0.5 / rho ** 2))
+        assert rbf.shape == expected.shape
+        assert rbf.tobytes() == expected.tobytes()
+        if rho < 25.0 and not cross:
+            # part of the block takes exp's slow underflow path
+            assert (d2 * (-0.5 / rho ** 2) < -708.0).any()
+
+
 class TestObjective:
     START = {"alpha": 0.3, "gamma": 0.4, "beta": 1.5, "rho": 40.0,
              "sigma2": 0.8}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from growabc.config import RunConfig
 from growabc.errors import (
     ConnectivityUnreachable,
     EmptyGraph,
@@ -28,6 +29,7 @@ from growabc.models import (
     grow_dmc,
     grow_price,
 )
+from growabc.table import build_seed_graph
 
 
 def brute_force_triangles(g):
@@ -403,6 +405,99 @@ class TestTrackedCopy:
         g.remove_edge(*next(g.edges()))
         assert g._triangle_count is None
         assert g.triangle_count == brute_force_triangles(g)
+
+
+def assert_bitmasks_match(g):
+    """Each node's bitmask is its projection neighbor set."""
+    assert len(g._bits) == g.node_count
+    for u in range(g.node_count):
+        assert g._bits[u] == sum(1 << w for w in g.neighbors(u)), u
+
+
+def _random_arcs(n, p, rng):
+    g = Graph(directed=True, track_triangles=True)
+    for _ in range(n):
+        g.add_node()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                g.add_edge(*((j, i) if rng.random() < 0.5 else (i, j)))
+    return g
+
+
+def _cached_seed(directed):
+    return build_seed_graph(RunConfig(model="price" if directed else "dmc",
+                                      seed_n=25, seed_p=0.3, seed_rng=4))
+
+
+BITMASK_STARTS = {
+    "fresh": lambda directed, rng: (_random_arcs(15, 0.3, rng) if directed
+                                    else random_graph(15, 0.3, rng)),
+    "tracked_copy_of_untracked": lambda directed, rng: (
+        _random_arcs(15, 0.3, rng) if directed
+        else random_graph(15, 0.3, rng)).copy(track_triangles=False).copy(
+            track_triangles=True),
+    "cached_seed_copy": lambda directed, rng: _cached_seed(directed).copy(),
+}
+
+
+class TestBitmasks:
+    """The running count is kept by popcounts of per-node neighbor
+    bitmasks; after any mutation both must be exact."""
+
+    @pytest.mark.parametrize("start", BITMASK_STARTS)
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    def test_random_mutation_sequence(self, start, directed):
+        rng = np.random.default_rng(41 + 2 * list(BITMASK_STARTS).index(
+            start) + directed)
+        if start == "cached_seed_copy":
+            seed = _cached_seed(directed)
+            seed_state = (list(seed._bits), seed.triangle_count)
+        g = BITMASK_STARTS[start](directed, rng)
+        assert g.tracks_triangles and g.directed == directed
+        assert g.triangle_count == brute_force_triangles(g)
+        assert_bitmasks_match(g)
+        for _ in range(150):
+            op = rng.random()
+            n = g.node_count
+            if op < 0.35 and g.edge_count:
+                u, v = list(g.edges())[rng.integers(g.edge_count)]
+                g.remove_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+            elif op < 0.7:
+                u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+            else:
+                # any order: each closed triangle counts once either way
+                k = int(rng.integers(0, min(8, n) + 1))
+                g.add_node_with_edges(
+                    rng.choice(n, size=k, replace=False).tolist())
+            assert g.triangle_count == brute_force_triangles(g)
+            assert_bitmasks_match(g)
+        if start == "cached_seed_copy":
+            assert (seed._bits, seed.triangle_count) == seed_state
+
+    def test_seeds_carry_bitmasks(self):
+        for g in (er_seed(30, 0.2, 7), directed_seed(30, 0.2, 7)):
+            assert g.tracks_triangles
+            assert_bitmasks_match(g)
+
+    def test_untracked_graphs_hold_none(self):
+        rng = np.random.default_rng(43)
+        tracked = random_graph(20, 0.3, rng)
+        untracked = tracked.copy(track_triangles=False)
+        untracked.add_node_with_edges([0, 1, 2])
+        untracked.add_edge(3, 20)
+        untracked.remove_edge(*next(untracked.edges()))
+        untracked.add_node()
+        assert untracked._bits is None and untracked._triangle_count is None
+        assert Graph()._bits is None
+        assert Graph(directed=True)._bits is None
+        _, grown = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
+                            GrowthPlan(200), rng, return_graph=True)
+        assert grown._bits is None
+        assert_bitmasks_match(tracked)  # the source keeps its own
 
 
 class TestDirected:

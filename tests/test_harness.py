@@ -19,7 +19,7 @@ from growabc.errors import (
 )
 from growabc.experiment import abc_run, run_experiment, timing_report
 from growabc.graph import er_seed, write_edge_list
-from growabc.ingest import ingest_observed, read_edge_list
+from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
 from growabc.summaries import SummarySpec
 from growabc.table import (
     build_reference_table,
@@ -407,6 +407,45 @@ class TestSeedGraph:
         edges = list(seed.edges())
         build_reference_table(cfg, str(tmp_path / "table.csv"), workers=1)
         assert list(build_seed_graph(cfg).edges()) == edges
+
+
+class TestUntrackedGraphs:
+    """Only a graph that keeps a running triangle count holds neighbor
+    bitmasks; any other graph keeps its neighbor sets alone."""
+
+    def test_observed_networks_hold_no_bitmasks(self, monkeypatch):
+        seen = []
+        evaluate = table.evaluate
+
+        def recorded(spec, g, rng):
+            seen.append(g)
+            return evaluate(spec, g, rng)
+
+        monkeypatch.setattr(table, "evaluate", recorded)
+        for cfg in (small_cfg(), small_cfg(model="price",
+                                           prior_low=(2.0, 0.005),
+                                           prior_high=(3.0, 0.01),
+                                           summaries="in_degree_mean")):
+            del seen[:]
+            table.simulate_observed(cfg, cfg.prior_low,
+                                    np.random.default_rng(0))
+            assert seen and all(g.node_count == cfg.n_o for g in seen)
+            assert all(g._bits is None and not g.tracks_triangles
+                       for g in seen)
+
+    def test_edge_list_seed_without_tracked_growth(self, tmp_path):
+        path = tmp_path / "seed.edges"
+        path.write_text("".join("%d %d %d\n" % (i, (i + 1) % 12, i)
+                                for i in range(12)) + "0 2 0\n")
+        g, node_ts = read_edge_list(str(path))
+        assert g._bits is None
+        assert seed_subgraph(g, node_ts, 6)._bits is None
+        cfg = small_cfg(seed_type="edgelist", seed_path=str(path),
+                        summaries="avg_degree")
+        _, grown = table.grow_to(cfg, (0.25, 0.5), np.random.default_rng(1),
+                                 cfg.n_s, cfg.checkpoints(),
+                                 cfg.summary_specs())
+        assert grown._bits is None and not grown.tracks_triangles
 
 
 class TestTiming:

@@ -366,6 +366,17 @@ class TestTopKDensity:
                                  k=3, inflate=1.0,
                                  rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("observed", [(2.0, 2.0, 0.0), (2.0, 2.0, 1e9)],
+                             ids=["near", "far"])
+    def test_three_summary_table_is_refused(self, observed):
+        # both vectors used to accept the same ids: only the first two
+        # summaries were scored
+        table = [entry(i, (0.1 * i, 0.5), (float(i), 2.0, float(i)),
+                       (1.0, 1.0, 1.0), 0.0) for i in range(5)]
+        with pytest.raises(LengthMismatch):
+            accept_top_k_density(table, observed, k=2, inflate=1.0,
+                                 rng=np.random.default_rng(0))
+
     def test_gp_fields_must_come_together(self):
         with pytest.raises(MissingGpFields):
             entry(0, (0.5, 0.5), (1.0, 1.0), variances=(1.0, 1.0))
