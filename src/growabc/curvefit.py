@@ -260,9 +260,12 @@ def fit_series(n, s, family):
     if not (np.all(np.isfinite(n)) and np.all(np.isfinite(s))):
         raise NonFiniteInput("series contains non-finite values")
     n_params = len(PARAM_NAMES[family])
-    if len(np.unique(n)) < n_params:
+    # by sort and diff: np.unique imports numpy.ma on first use, in every
+    # forked pool worker
+    distinct = int(np.count_nonzero(np.diff(np.sort(n)))) + (n.size > 0)
+    if distinct < n_params:
         raise TooFewPoints("%d distinct points < %d parameters"
-                           % (len(np.unique(n)), n_params))
+                           % (distinct, n_params))
     if np.all(s == 0.0):
         params = (0.0, 1.0) if n_params == 2 else (0.0, 1.0, 0.0)
         return LsFit(FunctionalForm(family, params), 0.0, True)

@@ -44,6 +44,13 @@ class GrowthPlan:
     checkpoints: tuple = ()
     summaries: tuple = ()
 
+    @property
+    def tracks_triangles(self):
+        """Whether growth keeps a running triangle count: only when a
+        summary read at the checkpoints needs one."""
+        return bool(self.checkpoints) and any(
+            spec.kind == "triangle_count" for spec in self.summaries)
+
     def validate(self, seed_size):
         if seed_size >= self.n_target:
             raise PlanInvalid("seed size %d >= target %d"
@@ -146,9 +153,7 @@ def _grow(seed, step, plan, rng):
     """Grow a copy of ``seed``; the copy keeps a running triangle count
     only when the plan reads one at its checkpoints."""
     plan.validate(seed.node_count)
-    track = bool(plan.checkpoints) and any(
-        spec.kind == "triangle_count" for spec in plan.summaries)
-    g = seed.copy(track_triangles=track)
+    g = seed.copy(track_triangles=plan.tracks_triangles)
     cps = set(plan.checkpoints)
     rows = []
     while g.node_count < plan.n_target:

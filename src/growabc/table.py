@@ -25,7 +25,7 @@ import os
 
 import numpy as np
 
-from . import curvefit, gp, graph
+from . import curvefit, gp
 from .config import GP_METHODS, config_hash
 from .errors import ConfigError, NotConverged, SingularKernel
 from .graph import er_seed
@@ -41,23 +41,33 @@ def build_seed_graph(cfg):
     """The configured seed graph, built once per seed and cached, so
     callers grow copies of it and never change it. A random seed is
     keyed on its model and parameters; an edge-list seed on its path,
-    mtime and size, so an edited file is read again. The seed keeps a
-    running triangle count, so a growth that tracks triangles starts
-    from it without counting them again."""
+    mtime and size, so an edited file is read again. A random seed keeps
+    a running triangle count, cheap at its size; an edge-list seed keeps
+    one (and its bitmasks, about n**2 / 8 bytes) only when the config's
+    table entries grow with one, so that their growth starts from it
+    without counting the seed's triangles again."""
     if cfg.seed_type == "edgelist":
         path = os.path.abspath(cfg.seed_path)
         st = os.stat(path)
         return _edge_list_seed(path, st.st_mtime_ns, st.st_size,
-                               cfg.model == "price", cfg.seed_cutoff)
+                               cfg.model == "price", cfg.seed_cutoff,
+                               _entries_track_triangles(cfg))
     return _random_seed(cfg.model, cfg.seed_n, cfg.seed_p, cfg.seed_rng)
 
 
+def _entries_track_triangles(cfg):
+    """Whether the config's table entries grow with a running triangle
+    count: method S entries grow to n_o without checkpoints."""
+    return cfg.method != "S" and GrowthPlan(
+        cfg.n_s, cfg.checkpoints(), cfg.summary_specs()).tracks_triangles
+
+
 @functools.lru_cache(maxsize=4)
-def _edge_list_seed(path, mtime_ns, size, directed, cutoff):
+def _edge_list_seed(path, mtime_ns, size, directed, cutoff, track):
     g, node_ts = read_edge_list(path, directed=directed)
     if cutoff is not None:
         g = seed_subgraph(g, node_ts, cutoff)
-    return g.copy(track_triangles=True)
+    return g.copy(track_triangles=track)
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,20 +195,17 @@ def _load_task_scipy(cfg):
     """Import the SciPy modules that the config's table entries and
     observed networks call, and no other:
 
-    - ``scipy.sparse`` with a ``triangle_count`` summary, for the graphs
-      that count their triangles once, from scratch (observed networks,
-      method S entries, auxiliary draws);
     - ``scipy.linalg`` and ``scipy.optimize`` for the GP methods;
     - ``scipy.special`` for a digamma-family fit (LS and RE).
+
+    Growth, summaries and triangle counts call no SciPy, so an LS, RE or
+    S build of DMC summaries imports none.
     """
-    specs = cfg.summary_specs()
-    if any(spec.kind == "triangle_count" for spec in specs):
-        graph.load_scipy()
     if cfg.method in GP_METHODS:
         gp.load_scipy()
     if cfg.method in ("LS", "RE") and any(
             curvefit.DEFAULT_FAMILY_BY_KIND[spec.kind] == "digamma"
-            for spec in specs):
+            for spec in cfg.summary_specs()):
         curvefit.load_scipy()
 
 

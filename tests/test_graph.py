@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from growabc import graph
 from growabc.config import RunConfig
 from growabc.errors import (
     ConnectivityUnreachable,
@@ -33,13 +35,14 @@ from growabc.table import build_seed_graph
 
 
 def brute_force_triangles(g):
-    """O(n^3) oracle: trace(A^3) / 6 on the undirected projection."""
+    """O(n^3) oracle: trace(A^3) / 6 on the undirected projection, taken
+    as the sum of (A @ A) * A (one matrix product, exact in float64)."""
     n = g.node_count
     a = np.zeros((n, n), dtype=float)
     for u in range(n):
         for v in g.neighbors(u):
             a[u, v] = 1.0
-    return int(round(np.trace(a @ a @ a) / 6.0))
+    return int(round(np.vdot(a @ a, a) / 6.0))
 
 
 def complete_graph(n, track_triangles=True):
@@ -317,6 +320,33 @@ class TestInvariants:
         assert count_triangles(g) == g.triangle_count
 
 
+def scipy_product_triangles(g):
+    """The ``scipy.sparse`` count that ``count_triangles`` replaced: with
+    U the 0/1 matrix of the edges oriented from the lower to the higher
+    (degree, id) rank, the sum of (U @ U) * U."""
+    sparse = pytest.importorskip("scipy.sparse")
+    adj = g._adj
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n), deg)
+    dst = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64,
+                      count=int(deg.sum()))
+    up = rank[dst] > rank[src]
+    u = sparse.csr_array((np.ones(int(up.sum()), dtype=np.int64),
+                          (src[up], dst[up])), shape=(n, n))
+    return int((u @ u).multiply(u).sum())
+
+
+def networkx_triangles(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from(g.edges())
+    return sum(nx.triangles(h).values()) // 3
+
+
 def _star(leaves):
     g = Graph()
     hub = g.add_node()
@@ -363,12 +393,89 @@ class TestCountTriangles:
 
     @pytest.mark.parametrize("case", COUNT_CASES)
     def test_matches_networkx(self, case):
-        nx = pytest.importorskip("networkx")
         g = COUNT_CASES[case]()
-        h = nx.Graph()
-        h.add_nodes_from(range(g.node_count))
-        h.add_edges_from(g.edges())
-        assert count_triangles(g) == sum(nx.triangles(h).values()) // 3
+        assert count_triangles(g) == networkx_triangles(g)
+
+
+def _sparse_random(n, avg_degree, seed, isolated=0.0):
+    """Untracked random graph of about ``avg_degree * n / 2`` edges among
+    a random share ``1 - isolated`` of its n nodes; the others, ids
+    spread over the whole range, stay isolated."""
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    for _ in range(n):
+        g.add_node()
+    live = np.flatnonzero(rng.random(n) >= isolated)
+    if len(live) < 2:
+        return g
+    for u, v in rng.choice(live, size=(int(avg_degree * n / 2), 2)):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(int(u), int(v))
+    return g
+
+
+def _dmc_3000():
+    _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
+                    GrowthPlan(3000), np.random.default_rng(2),
+                    return_graph=True)
+    return g
+
+
+def _price_3000():
+    _, g = grow_price(directed_seed(30, 0.2, 1), PriceParams(1.0, 0.01),
+                      GrowthPlan(3000), np.random.default_rng(3),
+                      return_graph=True)
+    return g
+
+
+# sizes around one and two 64-bit words and one 2,048-column block, a
+# third of the nodes isolated, a DMC graph and a Price citation graph
+# (counted on its undirected projection)
+SCALE_CASES = dict(
+    {"n%d" % n: functools.partial(_sparse_random, n, 20.0, n)
+     for n in (0, 1, 63, 64, 65, 2047, 2048, 2049)},
+    isolated_3000=functools.partial(_sparse_random, 3000, 30.0, 7, 1 / 3),
+    dmc_3000=_dmc_3000,
+    price_3000=_price_3000,
+)
+
+
+class TestCountTrianglesAtScale:
+    """The column-blocked bitset count against three oracles, at the
+    default block sizes and at small ones that split a graph into many
+    column blocks and each block's rows into many gathers."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        built = {}
+
+        def get(case):
+            if case not in built:
+                g = SCALE_CASES[case]()
+                assert not g.tracks_triangles
+                built[case] = (g, scipy_product_triangles(g))
+            return built[case]
+
+        return get
+
+    @pytest.mark.parametrize("case", SCALE_CASES)
+    def test_matches_oracles(self, graphs, case):
+        g, expected = graphs(case)
+        assert count_triangles(g) == expected
+        assert brute_force_triangles(g) == expected
+        assert networkx_triangles(g) == expected
+        if g.node_count >= 2047:
+            assert expected > 0
+
+    @pytest.mark.parametrize("columns,gather", [(64, 64), (100, 48),
+                                                (1000, 4096)])
+    @pytest.mark.parametrize("case", [c for c in SCALE_CASES
+                                      if c not in ("n0", "n1")])
+    def test_small_blocks(self, graphs, monkeypatch, case, columns, gather):
+        g, expected = graphs(case)
+        monkeypatch.setattr(graph, "_BLOCK_COLUMNS", columns)
+        monkeypatch.setattr(graph, "_GATHER_BYTES", gather)
+        assert count_triangles(g) == expected
 
 
 class TestTrackedCopy:

@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter, since this test process has
 SciPy loaded already. Acceptance against an existing table loads no
-SciPy at all; a build imports what its tasks call before its pool
-forks, so no forked worker imports a SciPy module of its own.
+SciPy at all, also when it simulates its observed network; a build
+imports what its tasks call before its pool forks, so no forked worker
+imports a module of its own.
 """
 
 import json
@@ -56,12 +57,20 @@ assert cli.main(["abc-run", "--table", ls_table, "--observed", "10,300",
                  "--out", out + "/cli", *sets]) == 0
 assert cli.main(["seed-gen", "--out", out + "/cli", *sets]) == 0
 steps["cli abc-run, seed-gen"] = scipy_loaded()
+# without an observed vector: one network is grown to n_o and its
+# triangles are counted by count_triangles
+abc_run(cfg, ls_table, out + "/ls_sim")
+steps["abc_run LS, simulated observed"] = scipy_loaded()
+assert cli.main(["abc-run", "--table", ls_table, "--out", out + "/cli_sim",
+                 *sets]) == 0
+steps["cli abc-run, simulated observed"] = scipy_loaded()
 print(json.dumps(steps))
 """
 
 # run_experiment with a table build and an observed-network pool on two
-# workers; each task run in a worker reports the SciPy modules it
-# imported
+# workers; each task run in a worker reports every module it imported,
+# SciPy's or any other (such as the numpy.ma that np.unique imports on
+# first use)
 POOL_TASKS = """
 import functools
 import json
@@ -72,21 +81,18 @@ import sys
 from growabc import experiment, table
 from growabc.config import RunConfig
 
-def scipy_loaded():
-    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
-
 queue = multiprocessing.SimpleQueue()
 main_pid = os.getpid()
 
 def reporting(fn):
     @functools.wraps(fn)
     def task(job):
-        before = scipy_loaded()
+        before = set(sys.modules)
         try:
             return fn(job)
         finally:
             if os.getpid() != main_pid:
-                queue.put(sorted(scipy_loaded() - before))
+                queue.put(sorted(set(sys.modules) - before))
 
     return task
 
@@ -125,23 +131,64 @@ def test_acceptance_on_a_built_table_loads_no_scipy(tmp_path):
                       tmp_path / "out")
     assert list(steps) == ["import growabc", "validate", "build_seed_graph",
                            "abc_run LS", "abc_run GPa",
-                           "cli abc-run, seed-gen"]
+                           "cli abc-run, seed-gen",
+                           "abc_run LS, simulated observed",
+                           "cli abc-run, simulated observed"]
     assert steps == {step: [] for step in steps}
-    assert (tmp_path / "out" / "cli" / "posterior.csv").exists()
+    for run in ("cli", "ls_sim", "cli_sim"):
+        assert (tmp_path / "out" / run / "posterior.csv").exists()
 
 
 @pytest.mark.parametrize("cfg,parent", [
-    (SMALL, ["sparse"]),
+    (SMALL, []),
     (dict(SMALL, method="GPa"), ["linalg", "optimize", "sparse", "special"]),
-    (dict(SMALL, method="S"), ["sparse"]),
+    (dict(SMALL, method="S"), []),
     (PRICE, ["special"]),
 ], ids=["LS", "GPa", "S", "price_LS"])
 def test_pool_workers_import_no_scipy(tmp_path, cfg, parent):
-    # the parent imports what the tasks call before its pools fork: an
-    # LS build with a triangle_count summary loads scipy.sparse alone,
-    # for the observed networks; a Price LS build scipy.special alone,
-    # for the digamma fits of in_degree_variance
+    # no task run in a worker imports any module; the parent imports
+    # what the tasks call before its pools fork: an LS or S build of the
+    # DMC summaries loads no SciPy (triangles are counted with NumPy
+    # alone), a GPa build what scipy.optimize pulls in, and a Price LS
+    # build scipy.special alone, for the digamma fits of
+    # in_degree_variance
     result = run_fresh(POOL_TASKS % {"cfg": cfg}, tmp_path / "exp")
     assert result == {"worker_tasks": cfg["table_size"]
                       + cfg["exp_replicates"],
                       "imported": [], "parent": parent}
+
+
+# the cached edge-list seed of one config: whether it keeps a running
+# triangle count and neighbor bitmasks, and the SciPy modules loaded
+EDGE_LIST_SEED = """
+import json
+import sys
+
+from growabc.config import RunConfig
+from growabc.table import build_seed_graph
+
+path, summaries, method = sys.argv[1:]
+seed = build_seed_graph(RunConfig(seed_type="edgelist", seed_path=path,
+                                  summaries=summaries, method=method))
+print(json.dumps({
+    "tracked": seed.tracks_triangles, "masks": seed._bits is not None,
+    "triangles": seed.triangle_count,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.mark.parametrize("summaries,method,tracked", [
+    ("avg_degree", "LS", False),
+    ("avg_degree,triangle_count", "LS", True),
+    ("avg_degree,triangle_count", "S", False),
+], ids=["avg_degree", "triangle_count", "method_S"])
+def test_edge_list_seed_tracks_only_what_growth_reads(tmp_path, summaries,
+                                                      method, tracked):
+    # the seed keeps a count and bitmasks only when the entries' growth
+    # reads triangles at its checkpoints; loading it imports no SciPy
+    path = tmp_path / "seed.edges"
+    path.write_text("".join("%d %d\n" % (i, (i + 1) % 12)
+                            for i in range(12)) + "0 2\n")
+    seed = run_fresh(EDGE_LIST_SEED, path, summaries, method)
+    assert seed == {"tracked": tracked, "masks": tracked, "triangles": 1,
+                    "scipy": []}
