@@ -100,6 +100,13 @@ class RunConfig:
         first = self.n_o if self.method == "S" or not cps else cps[0]
         for bad, reason in (
                 (self.n_s > self.n_o, "n_s must be <= n_o"),
+                (self.table_size < 1, "table_size must be >= 1"),
+                (self.accept_k < 1, "accept_k must be >= 1"),
+                (self.exp_replicates < 1, "exp_replicates must be >= 1"),
+                (self.method == "GPb" and not self.inflate > 0,
+                 "method GPb needs inflate > 0"),
+                (self.standardization == "auxiliary" and self.aux_count < 2,
+                 "standardization=auxiliary needs aux_count >= 2"),
                 (self.method == "RE" and not sampled,
                  "method RE needs a sample_triangle_count summary"),
                 # the density they accept by is bivariate

@@ -45,18 +45,17 @@ class Graph:
     ``track_triangles`` the graph also keeps a neighbor bitmask per node
     (``_bits``, about n**2 / 8 bytes in all) and, from their popcounts, a
     running triangle count of the projection; otherwise it holds neither,
-    and ``triangle_count`` counts from scratch on each read. Directed
-    graphs additionally keep in/out neighbor sets; edges never duplicate
-    in the projection and self-loops are rejected.
+    and ``triangle_count`` counts from scratch on each read. Self-loops
+    are rejected; a directed graph never holds both u->v and v->u, and
+    besides the projection keeps only in-neighbor sets (``_in``): u's
+    out-neighbors are ``_adj[u] - _in[u]``, and each arc is one edge.
     """
 
     def __init__(self, directed=False, track_triangles=False):
         self.directed = bool(directed)
         self._adj = []          # undirected projection neighbor sets
-        self._out = [] if directed else None
         self._in = [] if directed else None
         self._edge_count = 0    # projection edges
-        self._arc_count = 0     # directed edges (directed graphs only)
         # running triangle count and projection neighbor bitmasks (bit w
         # of _bits[u] set iff u-w is an edge); None when counted on demand
         self._triangle_count = 0 if track_triangles else None
@@ -72,7 +71,7 @@ class Graph:
 
     @property
     def arc_count(self):
-        return self._arc_count
+        return self._edge_count if self.directed else 0
 
     @property
     def tracks_triangles(self):
@@ -93,7 +92,6 @@ class Graph:
         if self._bits is not None:
             self._bits.append(0)
         if self.directed:
-            self._out.append(set())
             self._in.append(set())
         return len(self._adj) - 1
 
@@ -133,10 +131,8 @@ class Graph:
             bits[u] = mask
             self._triangle_count += closed
         if self.directed:
-            self._out[u].update(nbrs)
             for w in nbrs:
                 self._in[w].add(u)
-            self._arc_count += len(nbrs)
         self._edge_count += len(nbrs)
         return u
 
@@ -164,9 +160,7 @@ class Graph:
         self._adj[v].add(u)
         self._edge_count += 1
         if self.directed:
-            self._out[u].add(v)
             self._in[v].add(u)
-            self._arc_count += 1
 
     def remove_edge(self, u, v):
         self._check_node(u)
@@ -182,14 +176,9 @@ class Graph:
         self._adj[v].discard(u)
         self._edge_count -= 1
         if self.directed:
-            if v in self._out[u]:
-                self._out[u].discard(v)
-                self._in[v].discard(u)
-                self._arc_count -= 1
-            if u in self._out[v]:
-                self._out[v].discard(u)
-                self._in[u].discard(v)
-                self._arc_count -= 1
+            # the arc is u->v or v->u; exactly one of these is present
+            self._in[v].discard(u)
+            self._in[u].discard(v)
 
     def neighbors(self, u):
         self._check_node(u)
@@ -234,10 +223,8 @@ class Graph:
         g = Graph(directed=self.directed)
         g._adj = [set(s) for s in self._adj]
         if self.directed:
-            g._out = [set(s) for s in self._out]
             g._in = [set(s) for s in self._in]
         g._edge_count = self._edge_count
-        g._arc_count = self._arc_count
         if track_triangles:
             g._triangle_count = self.triangle_count
             g._bits = (list(self._bits) if self._bits is not None
@@ -249,7 +236,7 @@ class Graph:
         directed graphs the directed arcs (u, v) meaning u->v."""
         if self.directed:
             for u in range(self.node_count):
-                for v in sorted(self._out[u]):
+                for v in sorted(self._adj[u] - self._in[u]):
                     yield (u, v)
         else:
             for u in range(self.node_count):
@@ -266,13 +253,14 @@ def _mask(ids):
     return m
 
 
-def er_seed(n_seed, p, rng_seed, max_retries=10_000):
+def er_seed(n_seed, p, rng_seed, max_retries=10_000, directed=False):
     """Connected Erdos-Renyi G(n, p) seed graph.
 
     Disconnected draws are redrawn from a deterministically incremented
     RNG stream, up to ``max_retries`` attempts. The seed keeps a running
     triangle count, cheap at seed size, so that growth which tracks
-    triangles starts from it without a from-scratch count.
+    triangles starts from it without a from-scratch count. A directed
+    seed orients each drawn edge from the higher id to the lower.
     """
     if n_seed < 1:
         raise ValueError("n_seed must be >= 1")
@@ -282,13 +270,13 @@ def er_seed(n_seed, p, rng_seed, max_retries=10_000):
         raise ConnectivityUnreachable("p=0 cannot connect %d nodes" % n_seed)
     for attempt in range(max_retries):
         rng = np.random.default_rng([int(rng_seed), attempt])
-        g = Graph(track_triangles=True)
+        g = Graph(directed=directed, track_triangles=True)
         for _ in range(n_seed):
             g.add_node()
         for i in range(n_seed):
             for j in range(i + 1, n_seed):
                 if rng.random() < p:
-                    g.add_edge(i, j)
+                    g.add_edge(j, i)
         if g.is_connected():
             return g
     raise ConnectivityUnreachable(

@@ -23,7 +23,8 @@ class ObservedNetwork:
 
 
 def read_edge_list(path, directed=False):
-    """Parse an edge-list file into (Graph, node timestamps or None)."""
+    """Parse an edge-list file into (Graph, node timestamps or None); a
+    bad line, self-loop or repeated edge raises EdgeListParseError."""
     edges = []
     max_id = -1
     have_ts = None
@@ -46,13 +47,18 @@ def read_edge_list(path, directed=False):
                 have_ts = ts is not None
             elif have_ts != (ts is not None):
                 raise EdgeListParseError(lineno, "inconsistent timestamps")
-            edges.append((u, v, ts))
+            if u == v:
+                raise EdgeListParseError(lineno, "self-loop %d %d" % (u, v))
+            edges.append((lineno, u, v, ts))
             max_id = max(max_id, u, v)
     g = Graph(directed=directed)
     for _ in range(max_id + 1):
         g.add_node()
     node_ts = {} if have_ts else None
-    for u, v, ts in edges:
+    for lineno, u, v, ts in edges:
+        if g.has_edge(u, v):
+            raise EdgeListParseError(lineno,
+                                     "edge %d %d already present" % (u, v))
         g.add_edge(u, v)
         if have_ts:
             node_ts[u] = min(node_ts.get(u, ts), ts)

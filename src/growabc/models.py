@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, PlanInvalid
-from .graph import Graph
+from .graph import er_seed
 from .summaries import TrackedSeries, evaluate
 
 
@@ -189,15 +189,6 @@ def grow_price(seed, params, plan, rng, return_graph=False):
 
 
 def directed_seed(n_seed, p, rng_seed):
-    """Small directed ER-like seed for desk-scale Price runs: an
-    undirected connected ER draw with each edge oriented from the
-    higher id to the lower (later nodes cite earlier ones)."""
-    from .graph import er_seed
-
-    und = er_seed(n_seed, p, rng_seed)
-    g = Graph(directed=True, track_triangles=True)
-    for _ in range(n_seed):
-        g.add_node()
-    for u, v in und.edges():
-        g.add_edge(max(u, v), min(u, v))
-    return g
+    """Small directed ER seed for desk-scale Price runs: ``er_seed``'s
+    draw with each edge oriented from the higher id to the lower."""
+    return er_seed(n_seed, p, rng_seed, directed=True)

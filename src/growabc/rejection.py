@@ -6,7 +6,7 @@ that builds its entry-id, theta and extrapolated-summary columns once,
 on first use. Distance acceptance (methods S, LS, RE, GPc) is one NumPy
 selection over those columns; a plain list of entries gets its columns
 built for the call. Density acceptance (GPa, GPb) scores the entries
-one at a time.
+one at a time. Both refuse a non-finite observed vector.
 """
 
 import functools
@@ -23,6 +23,7 @@ from .errors import (
     KTooLarge,
     LengthMismatch,
     MissingGpFields,
+    NonFiniteInput,
     TooFewInputs,
 )
 
@@ -135,6 +136,9 @@ def accept_top_k_distance(table, observed, sds, k, method="LS"):
     row in the order ``np.dot`` does, where ``einsum`` may not."""
     if k > len(table):
         raise KTooLarge("k=%d > table size %d" % (k, len(table)))
+    # a scalar check: np.isfinite(...).all() costs ~10x more per call
+    if not all(map(math.isfinite, observed)):
+        raise NonFiniteInput("observed summaries must be finite")
     cols = columns_of(table)
     observed = np.asarray(observed, dtype=float)
     sds = np.asarray(sds, dtype=float)
@@ -179,6 +183,8 @@ def accept_top_k_density(table, observed, k, inflate, rng, method="GPa"):
     """
     if k > len(table):
         raise KTooLarge("k=%d > table size %d" % (k, len(table)))
+    if not all(map(math.isfinite, observed)):
+        raise NonFiniteInput("observed summaries must be finite")
     if len(observed) != 2:
         raise LengthMismatch("observed has %d summaries, the density needs 2"
                              % len(observed))

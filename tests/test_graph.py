@@ -521,6 +521,16 @@ def assert_bitmasks_match(g):
         assert g._bits[u] == sum(1 << w for w in g.neighbors(u)), u
 
 
+def assert_arcs_match(g, arcs):
+    """The graph's arcs, in-degrees and arc count are those of ``arcs``."""
+    assert set(g.edges()) == arcs
+    in_degrees = [0] * g.node_count
+    for _, v in arcs:
+        in_degrees[v] += 1
+    assert g.in_degrees() == in_degrees
+    assert g.arc_count == g.edge_count == len(arcs)
+
+
 def _random_arcs(n, p, rng):
     g = Graph(directed=True, track_triangles=True)
     for _ in range(n):
@@ -565,23 +575,33 @@ class TestBitmasks:
         assert g.tracks_triangles and g.directed == directed
         assert g.triangle_count == brute_force_triangles(g)
         assert_bitmasks_match(g)
+        # directed graphs: the arcs this test has put in, kept by hand
+        arcs = set(g.edges()) if directed else None
         for _ in range(150):
             op = rng.random()
             n = g.node_count
             if op < 0.35 and g.edge_count:
                 u, v = list(g.edges())[rng.integers(g.edge_count)]
                 g.remove_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+                if directed:
+                    arcs.remove((u, v))
             elif op < 0.7:
                 u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
                 if not g.has_edge(u, v):
                     g.add_edge(u, v)
+                    if directed:
+                        arcs.add((u, v))
             else:
                 # any order: each closed triangle counts once either way
                 k = int(rng.integers(0, min(8, n) + 1))
-                g.add_node_with_edges(
-                    rng.choice(n, size=k, replace=False).tolist())
+                nbrs = rng.choice(n, size=k, replace=False).tolist()
+                u = g.add_node_with_edges(nbrs)
+                if directed:
+                    arcs.update((u, w) for w in nbrs)
             assert g.triangle_count == brute_force_triangles(g)
             assert_bitmasks_match(g)
+            if directed:
+                assert_arcs_match(g, arcs)
         if start == "cached_seed_copy":
             assert (seed._bits, seed.triangle_count) == seed_state
 

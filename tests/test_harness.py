@@ -17,7 +17,20 @@ from growabc.errors import (
     EdgeListParseError,
     MissingTimestamps,
 )
-from growabc.experiment import abc_run, run_experiment, timing_report
+from growabc.experiment import (
+    abc_run,
+    compute_sds,
+    run_abc,
+    run_experiment,
+    timing_report,
+)
+from growabc.rejection import (
+    ReferenceTableEntry,
+    accept_top_k_density,
+    draw_prior,
+    standardization_sds,
+)
+from growabc.seeding import AUX_OFFSET, FILL_OFFSET, mix_seed
 from growabc.graph import er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
 from growabc.summaries import SummarySpec
@@ -25,6 +38,7 @@ from growabc.table import (
     build_reference_table,
     build_seed_graph,
     load_reference_table,
+    simulate_observed,
 )
 from growabc import cli, graph, table
 
@@ -233,6 +247,23 @@ class TestIngest:
         with pytest.raises(EdgeListParseError):
             read_edge_list(str(path))
 
+    @pytest.mark.parametrize("text,directed,line", [
+        ("0 1\n1 2\n2 2\n", False, 3),
+        ("0 1\n1 2\n2 1\n", False, 3),
+        ("0 1\n1 2\n0 1\n", False, 3),
+        ("1 0\n2 1\n0 1\n", True, 3),
+        ("1 0\n1 0\n", True, 2),
+    ], ids=["self_loop", "repeated_edge", "repeated_line",
+            "reciprocal_arc", "repeated_arc"])
+    def test_self_loop_and_repeated_edge_line_number(self, tmp_path, text,
+                                                     directed, line):
+        # these used to raise a bare ValueError from Graph.add_edge
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError) as err:
+            read_edge_list(str(path), directed=directed)
+        assert err.value.line_number == line
+
     def test_round_trip(self, tmp_path):
         g = er_seed(12, 0.3, 2)
         path = str(tmp_path / "rt.edges")
@@ -300,6 +331,51 @@ class TestAbcRun:
                             observed=target.ext_summaries)
         assert posterior.accepted[0][0] == target.theta
         assert posterior.accepted[0][1] == 0.0
+
+
+class TestAcceptanceSettings:
+    def test_auxiliary_sds_come_from_the_aux_seeds(self):
+        cfg = small_cfg(standardization="auxiliary", aux_count=3,
+                        master_seed=4)
+        vectors = []
+        for i in range(3):
+            rng = np.random.default_rng(mix_seed(4, AUX_OFFSET + i))
+            theta = draw_prior(cfg.prior_box(), rng)
+            vectors.append(simulate_observed(cfg, theta, rng))
+        sds = compute_sds(cfg, entries=None)
+        assert sds.tolist() == standardization_sds(vectors).sds.tolist()
+
+    def test_density_methods_score_with_their_inflate_and_fill_rng(self):
+        # tight variances: at inflate 1 and 2 most densities underflow,
+        # so fills drawn by the default fill rng are in both posteriors
+        rng = np.random.default_rng(8)
+        entries = [ReferenceTableEntry(
+            entry_id=i, rng_seed=i, theta=(rng.uniform(), rng.uniform()),
+            ext_summaries=tuple(rng.normal(10.0, 3.0, 2)),
+            gp_variances=(1e-3, 1e-3), gp_correlation=0.2)
+            for i in range(40)]
+        observed = (10.0, 10.0)
+
+        def expected(inflate, fill_seed, method):
+            return accept_top_k_density(
+                entries, observed, 10, inflate,
+                np.random.default_rng(fill_seed), method=method)
+
+        fill_seed = mix_seed(6, FILL_OFFSET)
+        for method, inflate in (("GPa", 1.0), ("GPb", 2.0)):
+            cfg = small_cfg(method=method, inflate=2.0, accept_k=10,
+                            master_seed=6)
+            got = run_abc(cfg, entries, observed, sds=None)
+            want = expected(inflate, fill_seed, method)
+            assert (got.accepted, got.entry_ids, got.zero_density_fills,
+                    got.method) == (want.accepted, want.entry_ids,
+                                    want.zero_density_fills, method)
+            assert want.zero_density_fills > 0
+            # either wrong setting would change the posterior
+            for other in (expected(3.0 - inflate, fill_seed, method),
+                          expected(inflate, fill_seed + 1, method)):
+                assert (other.accepted, other.entry_ids) != (
+                    want.accepted, want.entry_ids)
 
 
 class TestExperiment:
@@ -504,6 +580,17 @@ class TestCli:
         with open(os.path.join(out, "table.csv")) as fh:
             rows = [r for r in fh.read().splitlines() if r]
         assert len(rows) == 4  # hash line + header + 2 entries
+
+    def test_non_finite_observed_exit_code(self, tmp_path, capsys):
+        # used to write a posterior of entries 1-3 with nan scores
+        cfg = self._cfg_file(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["build-table", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["abc-run", "--config", cfg, "--out", out,
+                         "--observed", "nan,10"]) == 1
+        assert capsys.readouterr().err.startswith("error: NonFiniteInput:")
+        assert not os.path.exists(os.path.join(out, "posterior.csv"))
 
     def test_error_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -260,6 +260,27 @@ class TestPreferentialSample:
             assert len(picked) == 3
 
 
+class TestDirectedSeed:
+    @pytest.mark.parametrize("n_seed,p,rng_seed", [
+        (1, 0.0, 0), (2, 1.0, 3), (10, 0.3, 1), (20, 0.2, 4), (30, 0.2, 7),
+        (40, 0.6, 3)])
+    def test_orients_the_er_seed_draw_from_higher_to_lower_id(
+            self, n_seed, p, rng_seed):
+        und = er_seed(n_seed, p, rng_seed)
+        oracle = Graph(directed=True, track_triangles=True)
+        for _ in range(n_seed):
+            oracle.add_node()
+        for u, v in und.edges():
+            oracle.add_edge(max(u, v), min(u, v))
+        g = directed_seed(n_seed, p, rng_seed)
+        assert g.directed and g.tracks_triangles
+        assert list(g.edges()) == list(oracle.edges())
+        assert g.in_degrees() == oracle.in_degrees()
+        assert g._bits == oracle._bits == und._bits
+        assert (g.arc_count, g.edge_count, g.triangle_count) == (
+            und.edge_count, und.edge_count, und.triangle_count)
+
+
 class TestGrowPrice:
     def test_p_zero_isolated_newcomers(self):
         seed = directed_seed(20, 0.2, 4)
@@ -277,8 +298,10 @@ class TestGrowPrice:
         plan = GrowthPlan(60, (), ())
         _, g = grow_price(seed, PriceParams(k0=1.0, p=1.0, out_cap=2),
                           plan, np.random.default_rng(0), return_graph=True)
-        for u in range(20, 60):
-            assert len(g._out[u]) == 2
+        out_degree = [0] * g.node_count
+        for u, _ in g.edges():
+            out_degree[u] += 1
+        assert out_degree[20:] == [2] * 40
 
     def test_mean_out_degree_matches_binomial_mean(self):
         seed = directed_seed(700, 0.02, 4)
@@ -301,9 +324,9 @@ class TestGrowPrice:
         plan = GrowthPlan(200, (), ())
         _, g = grow_price(seed, PriceParams(k0=1.0, p=0.5, out_cap=8),
                           plan, np.random.default_rng(3), return_graph=True)
-        for u in range(g.node_count):
-            assert u not in g._out[u]
-            assert len(g._out[u]) == len(set(g._out[u]))
+        arcs = list(g.edges())
+        assert all(u != v for u, v in arcs)
+        assert len(set(arcs)) == len(arcs) == g.arc_count
 
 
 def test_param_validation():

@@ -10,6 +10,7 @@ from growabc.errors import (
     KTooLarge,
     LengthMismatch,
     MissingGpFields,
+    NonFiniteInput,
     TooFewInputs,
 )
 from growabc.rejection import (
@@ -233,6 +234,14 @@ class TestColumnarDistance:
         with pytest.raises(LengthMismatch):
             accept_top_k_distance(table, observed, sds, k=3)
 
+    @pytest.mark.parametrize("observed", [
+        (math.nan, 10.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_observed(self, observed):
+        # a nan used to score every entry nan and accept entries 1-3
+        with pytest.raises(NonFiniteInput):
+            accept_top_k_distance(ReferenceTable(random_table()), observed,
+                                  (1.0, 1.0), k=3)
+
 
 class TestBivariateDensity:
     def test_standard_normal_at_mean(self):
@@ -375,6 +384,13 @@ class TestTopKDensity:
                        (1.0, 1.0, 1.0), 0.0) for i in range(5)]
         with pytest.raises(LengthMismatch):
             accept_top_k_density(table, observed, k=2, inflate=1.0,
+                                 rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("observed", [
+        (math.nan, 10.0), (10.0, math.inf), (-math.inf, 10.0)])
+    def test_non_finite_observed(self, observed):
+        with pytest.raises(NonFiniteInput):
+            accept_top_k_density(self._table(), observed, k=3, inflate=1.0,
                                  rng=np.random.default_rng(0))
 
     def test_gp_fields_must_come_together(self):

@@ -34,6 +34,16 @@ PROBES = {
     "standardization_typo": ["standardization=auxilliary"],
     "truth_of_wrong_dimension": ["truths=0.25"],
     "empty_n_s": ["n_s="],
+    # accept_k=-1 used to accept all but the last row and raise nothing;
+    # accept_k=0 built the whole table, then raised EmptyPosterior
+    "negative_accept_k": ["accept_k=-1"],
+    "zero_accept_k": ["accept_k=0"],
+    "zero_table_size": ["table_size=0"],
+    "zero_exp_replicates": ["exp_replicates=0"],
+    # raised DegenerateCovariance only at acceptance
+    "gpb_with_zero_inflate": ["method=GPb", "inflate=0"],
+    # raised TooFewInputs only after the build
+    "auxiliary_with_one_draw": ["standardization=auxiliary", "aux_count=1"],
 }
 
 
