@@ -11,10 +11,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .config import load_config
-from .experiment import abc_run, run_experiment, timing_report
+from .experiment import abc_run, run_experiment, timing_report, write_json
 from .graph import write_edge_list
 from .ingest import ingest_observed
+from .seeding import observed_seed
 from .table import build_reference_table, build_seed_graph
 
 
@@ -119,12 +122,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "ingest":
-        import numpy as np
-
-        from .seeding import OBSERVED_OFFSET, mix_seed
-
-        rng = np.random.default_rng(mix_seed(cfg.master_seed,
-                                             OBSERVED_OFFSET))
+        rng = np.random.default_rng(observed_seed(cfg.master_seed, 0, 0))
         observed = ingest_observed(
             args.path, cfg.summary_specs(),
             seed_cutoff=cfg.seed_cutoff,
@@ -139,10 +137,7 @@ def _dispatch(args):
             "seed_nodes": (observed.seed_graph.node_count
                            if observed.seed_graph is not None else None),
         }
-        out_path = os.path.join(args.out, "observed.json")
-        with open(out_path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "observed.json"), record)
         print(json.dumps(record, sort_keys=True))
         return 0
 

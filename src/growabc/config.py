@@ -103,6 +103,8 @@ class RunConfig:
                 (self.table_size < 1, "table_size must be >= 1"),
                 (self.accept_k < 1, "accept_k must be >= 1"),
                 (self.exp_replicates < 1, "exp_replicates must be >= 1"),
+                (len(kinds) < len(specs),
+                 "summaries %r name a kind twice" % self.summaries),
                 (self.method == "GPb" and not self.inflate > 0,
                  "method GPb needs inflate > 0"),
                 (self.standardization == "auxiliary" and self.aux_count < 2,

@@ -21,7 +21,7 @@ from .rejection import (
     standardization_sds,
     draw_prior,
 )
-from .seeding import AUX_OFFSET, FILL_OFFSET, OBSERVED_OFFSET, mix_seed
+from .seeding import aux_seed, fill_seed, observed_seed
 from .table import (
     build_reference_table,
     grow_to,
@@ -37,21 +37,37 @@ def compute_sds(cfg, entries):
         return standardization_sds(columns_of(entries).ext).sds
     vectors = []
     for i in range(cfg.aux_count):
-        seed_val = mix_seed(cfg.master_seed, AUX_OFFSET + i)
-        rng = np.random.default_rng(seed_val)
+        rng = np.random.default_rng(aux_seed(cfg.master_seed, i))
         theta = draw_prior(cfg.prior_box(), rng)
         vectors.append(simulate_observed(cfg, theta, rng))
     return standardization_sds(vectors).sds
 
 
-def load_checked_table(cfg, table_path):
-    """Load a built table, refuse it when its usable rows are fewer than
-    ``accept_k``, and compute the standardization sds; returns
-    (entries, failed count, sds)."""
+def _checked_table(cfg, table_path, out_dir, workers, resume):
+    """Validate, build the table (resume it, or build only a missing one)
+    and load it, refusing an interrupted table or one with fewer usable
+    rows than ``accept_k``; returns (entries, failed count, sds)."""
+    cfg.validate()
+    if cfg.accept_k > cfg.table_size:
+        raise ConfigError("accept_k exceeds table_size")
+    os.makedirs(out_dir, exist_ok=True)
+    if resume or not os.path.exists(table_path):
+        build_reference_table(cfg, table_path, workers=workers)
     entries, failed, _ = load_reference_table(table_path, config_hash(cfg))
+    if len(entries) + failed < cfg.table_size:
+        raise ConfigError(
+            "%s holds %d of %d rows; resume it with build-table"
+            % (table_path, len(entries) + failed, cfg.table_size))
     if cfg.accept_k > len(entries):
         raise ConfigError("accept_k exceeds the usable table size")
     return entries, failed, compute_sds(cfg, entries)
+
+
+def write_json(path, obj):
+    """Write ``obj`` as key-sorted, indented JSON ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_abc(cfg, entries, observed, sds, fill_rng=None):
@@ -62,8 +78,7 @@ def run_abc(cfg, entries, observed, sds, fill_rng=None):
                                      method=cfg.method)
     inflate = 1.0 if cfg.method == "GPa" else cfg.inflate
     if fill_rng is None:
-        fill_rng = np.random.default_rng(
-            mix_seed(cfg.master_seed, FILL_OFFSET))
+        fill_rng = np.random.default_rng(fill_seed(cfg.master_seed, 0, 0))
     return accept_top_k_density(entries, observed, k, inflate, fill_rng,
                                 method=cfg.method)
 
@@ -71,9 +86,8 @@ def run_abc(cfg, entries, observed, sds, fill_rng=None):
 def _observed_for(args):
     cfg, truth_idx, rep = args
     truth = cfg.truth_list()[truth_idx]
-    seed_val = mix_seed(cfg.master_seed,
-                        OBSERVED_OFFSET + truth_idx * 100_000 + rep)
-    rng = np.random.default_rng(seed_val)
+    rng = np.random.default_rng(observed_seed(cfg.master_seed, truth_idx,
+                                              rep))
     return truth_idx, rep, simulate_observed(cfg, truth, rng)
 
 
@@ -85,14 +99,9 @@ def run_experiment(cfg, out_dir, workers=None):
     Writes table.csv (reused if present), posterior_means.csv, and
     experiment_stats.json under ``out_dir``.
     """
-    cfg.validate()
-    if cfg.accept_k > cfg.table_size:
-        raise ConfigError("accept_k exceeds table_size")
-    os.makedirs(out_dir, exist_ok=True)
-    table_path = os.path.join(out_dir, "table.csv")
     # also builds the seed graph, which the observed runs' workers inherit
-    build_reference_table(cfg, table_path, workers=workers)
-    entries, failed, sds = load_checked_table(cfg, table_path)
+    entries, failed, sds = _checked_table(
+        cfg, os.path.join(out_dir, "table.csv"), out_dir, workers, True)
 
     truths = cfg.truth_list()
     jobs = [(cfg, t, r) for t in range(len(truths))
@@ -110,9 +119,8 @@ def run_experiment(cfg, out_dir, workers=None):
                         + ["true_%s" % n for n in names]
                         + ["mean_%s" % n for n in names])
         for truth_idx, rep, observed in observed_results:
-            fill_rng = np.random.default_rng(mix_seed(
-                cfg.master_seed,
-                FILL_OFFSET + truth_idx * 100_000 + rep))
+            fill_rng = np.random.default_rng(
+                fill_seed(cfg.master_seed, truth_idx, rep))
             posterior = run_abc(cfg, entries, observed, sds, fill_rng)
             fills_total += posterior.zero_density_fills
             mean = posterior.thetas().mean(axis=0)
@@ -143,33 +151,23 @@ def run_experiment(cfg, out_dir, workers=None):
             "rmse": rmse.tolist(),
             "bias": bias.tolist(),
         })
-    stats_path = os.path.join(out_dir, "experiment_stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "experiment_stats.json"), report)
     return report
 
 
 def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
     """Single acceptance run against an existing (or new) table.
 
-    ``observed``: summary vector; if None, an observed network is
-    simulated from the first configured truth. Writes posterior.csv and
-    stats.json.
+    ``observed``: summary vector; if None, the study's first replicate
+    (truth 0, replicate 0) is simulated. Writes posterior.csv and
+    stats.json. An interrupted table is refused, not resumed.
     """
-    cfg.validate()
-    if cfg.accept_k > cfg.table_size:
-        raise ConfigError("accept_k exceeds table_size")
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.path.exists(table_path):
-        build_reference_table(cfg, table_path, workers=workers)
-    entries, failed, sds = load_checked_table(cfg, table_path)
+    entries, failed, sds = _checked_table(cfg, table_path, out_dir, workers,
+                                          False)
     truth = None
     if observed is None:
         truth = cfg.truth_list()[0]
-        rng = np.random.default_rng(mix_seed(cfg.master_seed,
-                                             OBSERVED_OFFSET))
-        observed = simulate_observed(cfg, truth, rng)
+        observed = _observed_for((cfg, 0, 0))[2]
     posterior = run_abc(cfg, entries, observed, sds)
 
     names = cfg.theta_names()
@@ -185,10 +183,7 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
     stats = posterior_stats(posterior, truth=truth)
     stats["failed_entries"] = failed
     stats["observed"] = [float(v) for v in observed]
-    stats_path = os.path.join(out_dir, "stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "stats.json"), stats)
     return posterior
 
 
@@ -210,7 +205,7 @@ def _time_entry_build(cfgs, reps):
 def _time_observed_summary(cfg, reps):
     """Seconds to compute the triangle summary on a full n_o network,
     from scratch, vs on an induced subsample."""
-    rng = np.random.default_rng(mix_seed(cfg.master_seed, OBSERVED_OFFSET))
+    rng = np.random.default_rng(observed_seed(cfg.master_seed, 0, 0))
     theta = draw_prior(cfg.prior_box(), rng)
     _, g = grow_to(cfg, theta, rng, cfg.n_o, (), ())
     n_star = min(cfg.n_star, g.node_count)

@@ -2,7 +2,17 @@
 
 A SplitMix64-style finalizer over (master_seed, stream index) so that
 parallel build order never affects which random stream an entry sees.
+Every stream of a run is seeded by ``mix_seed(master_seed, index)``,
+with one index range per role: table entry ``b`` uses ``b``; replicate
+``r`` of truth ``t`` uses ``OBSERVED_OFFSET + t * 10**5 + r`` for its
+observed network (``observed_seed``) and ``FILL_OFFSET + t * 10**5 + r``
+for its zero-density fills (``fill_seed``); auxiliary standardisation
+draw ``i`` uses ``AUX_OFFSET + i`` (``aux_seed``). ``abc_run`` without
+an observed vector, CLI ``ingest`` and the timing report use replicate
+(0, 0), the study's first.
 """
+
+import functools
 
 _MASK = (1 << 64) - 1
 
@@ -18,3 +28,16 @@ def mix_seed(master_seed, index):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def _replicate_seed(offset, master_seed, truth_idx, rep):
+    return mix_seed(master_seed, offset + truth_idx * 100_000 + rep)
+
+
+# (master_seed, truth_idx, rep) -> seed of that replicate's stream
+observed_seed = functools.partial(_replicate_seed, OBSERVED_OFFSET)
+fill_seed = functools.partial(_replicate_seed, FILL_OFFSET)
+
+
+def aux_seed(master_seed, i):
+    return mix_seed(master_seed, AUX_OFFSET + i)

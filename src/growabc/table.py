@@ -8,12 +8,13 @@ correlation. An entry fails only when its fit does (``NotConverged``,
 ``failed=1``. Any other exception stops the build, and
 ``RunConfig.validate`` refuses an invalid config before any entry is
 built. The seed graph is built once, before any entry (an edge-list
-seed file is read, and so checked, then), and every entry grows a copy
-of it; the SciPy modules the entries call are imported then too. Rows
-are written incrementally and builds are resumable by entry id, guarded
-by a config hash in the header comment. Resuming cuts off a last row
-without its newline (a build killed mid-write), and reading refuses a
-row whose field count differs from the header's. Reading returns the
+seed file is read, and so checked, then, and the entries' growth plan
+is checked against its size), and every entry grows a copy of it; the
+SciPy modules the entries call are imported then too. Rows are written
+incrementally and builds are resumable by entry id, guarded by a config
+hash in the header comment. Resuming checks that hash, then cuts off a
+last row without its newline (a build killed mid-write), and reading
+refuses a row whose field count differs from the header's. Reading returns the
 usable rows as a ``rejection.ReferenceTable``, whose NumPy columns
 every acceptance pass against the table reuses.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import curvefit, gp
 from .config import GP_METHODS, config_hash
-from .errors import ConfigError, NotConverged, SingularKernel
+from .errors import ConfigError, NotConverged, PlanInvalid, SingularKernel
 from .graph import er_seed
 from .ingest import read_edge_list, seed_subgraph
 from .models import GrowthPlan, directed_seed, grow_dmc, grow_price
@@ -51,15 +52,16 @@ def build_seed_graph(cfg):
         st = os.stat(path)
         return _edge_list_seed(path, st.st_mtime_ns, st.st_size,
                                cfg.model == "price", cfg.seed_cutoff,
-                               _entries_track_triangles(cfg))
+                               _entry_plan(cfg).tracks_triangles)
     return _random_seed(cfg.model, cfg.seed_n, cfg.seed_p, cfg.seed_rng)
 
 
-def _entries_track_triangles(cfg):
-    """Whether the config's table entries grow with a running triangle
-    count: method S entries grow to n_o without checkpoints."""
-    return cfg.method != "S" and GrowthPlan(
-        cfg.n_s, cfg.checkpoints(), cfg.summary_specs()).tracks_triangles
+def _entry_plan(cfg):
+    """The growth plan of the config's table entries: method S entries
+    grow to n_o without checkpoints."""
+    if cfg.method == "S":
+        return GrowthPlan(cfg.n_o)
+    return GrowthPlan(cfg.n_s, cfg.checkpoints(), cfg.summary_specs())
 
 
 @functools.lru_cache(maxsize=4)
@@ -163,19 +165,23 @@ def _format_row(cfg, result):
             + [repr(float(v)) for v in values] + [str(int(failed))])
 
 
+def _check_hash_line(path, first, expected_hash):
+    """Raise ConfigError unless ``first`` is a ``# config=`` line whose
+    hash is ``expected_hash`` (any hash if that is None)."""
+    if not first.startswith("# config="):
+        raise ConfigError("%s has no config hash line" % path)
+    found = first.strip().split("=", 1)[1]
+    if expected_hash is not None and found != expected_hash:
+        raise ConfigError("config hash mismatch: table %s vs config %s"
+                          % (found, expected_hash))
+
+
 def _table_rows(path, expected_hash=None):
     """Yield a table's header row, then its data rows. Checks the
     ``# config=`` line against ``expected_hash`` when one is given;
     raises ConfigError on a row whose field count is not the header's."""
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# config="):
-            raise ConfigError("%s has no config hash line" % path)
-        found = first.strip().split("=", 1)[1]
-        if expected_hash is not None and found != expected_hash:
-            raise ConfigError(
-                "config hash mismatch: table %s vs config %s"
-                % (found, expected_hash))
+        _check_hash_line(path, fh.readline(), expected_hash)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -218,14 +224,22 @@ def build_reference_table(cfg, out_path, workers=None):
     ``run_experiment``'s observed-network pool, forked after this call,
     inherits them too."""
     cfg.validate()
-    build_seed_graph(cfg)
+    try:  # an edge-list seed can be too large for the entries' plan
+        _entry_plan(cfg).validate(build_seed_graph(cfg).node_count)
+    except PlanInvalid as exc:
+        raise ConfigError(str(exc)) from exc
     _load_task_scipy(cfg)
     chash = config_hash(cfg)
     done = set()
     if os.path.exists(out_path):
-        with open(out_path, "rb+") as fh:  # drop a row torn mid-write
-            fh.truncate(fh.read().rfind(b"\n") + 1)
-        if os.path.getsize(out_path) > 0:
+        with open(out_path, "rb+") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end:  # refuse another config's table before any edit
+                _check_hash_line(out_path, data[:data.find(b"\n")].decode(),
+                                 chash)
+            fh.truncate(end)  # drop a row torn mid-write
+        if end:
             rows = _table_rows(out_path, chash)
             next(rows)  # header
             done = {int(row[0]) for row in rows}

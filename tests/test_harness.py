@@ -18,6 +18,7 @@ from growabc.errors import (
     MissingTimestamps,
 )
 from growabc.experiment import (
+    _observed_for,
     abc_run,
     compute_sds,
     run_abc,
@@ -30,10 +31,18 @@ from growabc.rejection import (
     draw_prior,
     standardization_sds,
 )
-from growabc.seeding import AUX_OFFSET, FILL_OFFSET, mix_seed
+from growabc.seeding import (
+    AUX_OFFSET,
+    FILL_OFFSET,
+    OBSERVED_OFFSET,
+    aux_seed,
+    fill_seed,
+    mix_seed,
+    observed_seed,
+)
 from growabc.graph import er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
-from growabc.summaries import SummarySpec
+from growabc.summaries import SummarySpec, evaluate
 from growabc.table import (
     build_reference_table,
     build_seed_graph,
@@ -333,6 +342,45 @@ class TestAbcRun:
         assert posterior.accepted[0][1] == 0.0
 
 
+class TestStreams:
+    def test_stream_layout(self):
+        for master in (0, 5):
+            for t, r in ((0, 0), (0, 7), (2, 3)):
+                index = t * 100_000 + r
+                assert observed_seed(master, t, r) == mix_seed(
+                    master, OBSERVED_OFFSET + index)
+                assert fill_seed(master, t, r) == mix_seed(
+                    master, FILL_OFFSET + index)
+            assert aux_seed(master, 4) == mix_seed(master, AUX_OFFSET + 4)
+
+    def test_observed_network_of_a_replicate(self):
+        cfg = small_cfg(truths="0.25:0.5;0.3:0.6", master_seed=2)
+        rng = np.random.default_rng(mix_seed(2, OBSERVED_OFFSET + 100_002))
+        assert _observed_for((cfg, 1, 2)) == (
+            1, 2, simulate_observed(cfg, (0.3, 0.6), rng))
+
+    @pytest.mark.parametrize("method", ["LS", "GPa"])
+    def test_abc_run_accepts_the_studys_first_replicate(self, tmp_path,
+                                                        method):
+        cfg = small_cfg(method=method, master_seed=5)
+        table = str(tmp_path / "table.csv")
+        out = tmp_path / "run"
+        abc_run(cfg, table, str(out))
+        rng = np.random.default_rng(mix_seed(5, OBSERVED_OFFSET))
+        observed = simulate_observed(cfg, cfg.truth_list()[0], rng)
+        assert _observed_for((cfg, 0, 0))[2] == observed
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["observed"] == list(observed)
+        entries, _, _ = load_reference_table(table)
+        want = run_abc(cfg, entries, observed, compute_sds(cfg, entries),
+                       np.random.default_rng(mix_seed(5, FILL_OFFSET)))
+        with open(out / "posterior.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["entry_id"]) for r in rows] == list(want.entry_ids)
+        assert [float(r["score"]) for r in rows] \
+            == [float(score) for _, score in want.accepted]
+
+
 class TestAcceptanceSettings:
     def test_auxiliary_sds_come_from_the_aux_seeds(self):
         cfg = small_cfg(standardization="auxiliary", aux_count=3,
@@ -557,6 +605,27 @@ class TestCli:
         record = json.load(open(os.path.join(out, "observed.json")))
         assert record["nodes"] == 30
         assert "avg_degree" in record["summaries"]
+
+    def test_ingest_samples_from_the_observed_stream(self, tmp_path):
+        path = str(tmp_path / "net.edges")
+        write_edge_list(er_seed(40, 0.3, 5), path)
+        out = str(tmp_path / "out")
+        assert cli.main(["ingest", "--set", "master_seed=7", "--set",
+                         "summaries=avg_degree,sample_triangle_count",
+                         "--set", "n_star=20", "--out", out, path]) == 0
+        record = json.load(open(os.path.join(out, "observed.json")))
+        g, _ = read_edge_list(path)
+        specs = (SummarySpec("avg_degree"),
+                 SummarySpec("sample_triangle_count", n_star=20))
+
+        def summaries(seed):
+            rng = np.random.default_rng(seed)
+            return {s.name: evaluate(s, g, rng) for s in specs}
+
+        want = summaries(mix_seed(7, OBSERVED_OFFSET))
+        assert record["summaries"] == want
+        # another stream samples other nodes
+        assert summaries(mix_seed(7, OBSERVED_OFFSET + 1)) != want
 
     def test_build_abc_experiment_timing(self, tmp_path):
         cfg = self._cfg_file(tmp_path)

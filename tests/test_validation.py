@@ -5,7 +5,7 @@ or raise TypeError."""
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from growabc import table
 from growabc.config import RunConfig, apply_overrides
 from growabc.errors import ConfigError
 from growabc.experiment import abc_run, run_experiment
+from growabc.graph import er_seed, write_edge_list
 from growabc.rejection import (ReferenceTable, standardization_sds,
                                std_euclidean)
 from growabc.table import build_reference_table, load_reference_table
@@ -44,6 +45,11 @@ PROBES = {
     "gpb_with_zero_inflate": ["method=GPb", "inflate=0"],
     # raised TooFewInputs only after the build
     "auxiliary_with_one_draw": ["standardization=auxiliary", "aux_count=1"],
+    # built all 4 rows with gp_corr 1.0, then abc_run raised
+    # DegenerateCovariance; under LS one summary counted twice
+    "gpa_with_a_summary_named_twice": ["method=GPa",
+                                       "summaries=avg_degree,avg_degree"],
+    "summary_named_twice": ["summaries=avg_degree, avg_degree"],
 }
 
 
@@ -199,3 +205,54 @@ def test_posterior_ids_of_equal_thetas(tmp_path):
     assert list(posterior.entry_ids) == ids
     assert len(set(ids)) == 3
 
+
+def test_edge_list_seed_above_the_first_checkpoint_is_refused(tmp_path,
+                                                              monkeypatch):
+    # validate passed, table.csv got its hash and header, then the first
+    # entry raised PlanInvalid: first checkpoint 40 <= seed size 60
+    seed_path = tmp_path / "seed.edges"
+    write_edge_list(er_seed(60, 0.2, 3), str(seed_path))
+    cfg = RunConfig(seed_type="edgelist", seed_path=str(seed_path), n_s=100,
+                    n_o=200, checkpoint_start=40, table_size=4, workers=1)
+    built, build_entry = [], table._build_entry
+    monkeypatch.setattr(table, "_build_entry",
+                        lambda job: built.append(job[1]) or build_entry(job))
+    path = tmp_path / "table.csv"
+    with pytest.raises(ConfigError, match="first checkpoint 40 <= seed "
+                                          "size 60"):
+        build_reference_table(cfg, str(path))
+    assert built == []
+    assert not path.exists()
+
+
+def test_refused_resume_leaves_the_table_unchanged(tmp_path):
+    # the torn row used to be cut before the hash mismatch was raised
+    cfg = RunConfig(n_s=60, n_o=80, table_size=3, workers=1)
+    path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(path))
+    full = path.read_bytes()
+    path.write_bytes(full + b"4,123,0.2")
+    with pytest.raises(ConfigError, match="config hash mismatch"):
+        build_reference_table(replace(cfg, master_seed=9), str(path))
+    assert path.read_bytes() == full + b"4,123,0.2"
+    build_reference_table(cfg, str(path))
+    assert path.read_bytes() == full
+
+
+def test_abc_run_refuses_an_interrupted_table(tmp_path):
+    # abc_run used to accept entries (3, 1) from the first 3 of 6 rows
+    # and write failed_entries: 0
+    cfg = RunConfig(n_s=60, n_o=80, table_size=6, accept_k=2, workers=1)
+    path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(path))
+    full = path.read_bytes()
+    path.write_bytes(b"".join(full.splitlines(keepends=True)[:-3]))
+    run_dir = tmp_path / "run"
+    with pytest.raises(ConfigError, match="3 of 6 rows; resume it with "
+                                          "build-table"):
+        abc_run(cfg, str(path), str(run_dir))
+    assert not (run_dir / "posterior.csv").exists()
+    build_reference_table(cfg, str(path))
+    assert path.read_bytes() == full
+    abc_run(cfg, str(path), str(run_dir))
+    assert (run_dir / "posterior.csv").exists()
