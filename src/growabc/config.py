@@ -13,8 +13,9 @@ from typing import Optional, get_args, get_type_hints
 
 from . import curvefit, gp
 from .errors import ConfigError
-from .models import DmcParams, PriceParams
+from .models import DmcParams, GrowthPlan, PriceParams
 from .rejection import PriorBox
+from .seeding import AUX_OFFSET, FILL_OFFSET, OBSERVED_OFFSET, REPLICATE_BLOCK
 from .summaries import DIRECTED_KINDS, SAMPLED_KINDS, SummarySpec
 
 METHODS = ("S", "LS", "GPa", "GPb", "GPc", "RE")
@@ -79,36 +80,54 @@ class RunConfig:
         try:
             specs = self.summary_specs()
             kinds = {spec.kind for spec in specs}
-            cps = self.checkpoints()
+            plan = self.entry_plan()
+            if self.seed_type == "er":  # an edge-list seed is read later
+                plan.validate(self.seed_n)
             self.prior_box()
-            for theta in (self.prior_low, self.prior_high,
-                          *self.truth_list()):
+            truths = self.truth_list()
+            for theta in (self.prior_low, self.prior_high, *truths):
                 self.growth_params(theta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         sampled = bool(kinds & set(SAMPLED_KINDS))
+        cps = plan.checkpoints
         # checkpoints a fit needs: one per parameter of an LS family
         if self.method == "S":
             need = 0
         elif self.method in GP_METHODS:
             need = gp.MIN_CHECKPOINTS
         else:
-            need = max(len(curvefit.PARAM_NAMES[
-                curvefit.DEFAULT_FAMILY_BY_KIND[kind]]) for kind in kinds)
-        # summaries are first evaluated at n_o (method S) or at the first
-        # checkpoint; the seed must be smaller, and n_star no larger
-        first = self.n_o if self.method == "S" or not cps else cps[0]
+            need = max(len(curvefit.PARAM_NAMES[spec.family])
+                       for spec in specs)
+        # a sampled summary is first evaluated at the plan's first
+        # checkpoint, or at its target; n_star must be no larger
+        first = (cps or (plan.n_target,))[0]
+        # each seeding role's stream indices stay below the next role's
+        max_truths = (AUX_OFFSET - OBSERVED_OFFSET) // REPLICATE_BLOCK
         for bad, reason in (
                 (self.n_s > self.n_o, "n_s must be <= n_o"),
-                (self.table_size < 1, "table_size must be >= 1"),
+                (not 1 <= self.table_size < OBSERVED_OFFSET,
+                 "table_size must be >= 1 and < %d" % OBSERVED_OFFSET),
                 (self.accept_k < 1, "accept_k must be >= 1"),
-                (self.exp_replicates < 1, "exp_replicates must be >= 1"),
+                (not 1 <= self.exp_replicates <= REPLICATE_BLOCK,
+                 "exp_replicates must be >= 1 and <= %d" % REPLICATE_BLOCK),
+                (len(truths) > max_truths,
+                 "%d truths exceed the %d allowed"
+                 % (len(truths), max_truths)),
                 (len(kinds) < len(specs),
                  "summaries %r name a kind twice" % self.summaries),
                 (self.method == "GPb" and not self.inflate > 0,
                  "method GPb needs inflate > 0"),
-                (self.standardization == "auxiliary" and self.aux_count < 2,
-                 "standardization=auxiliary needs aux_count >= 2"),
+                (self.standardization == "auxiliary"
+                 and not 2 <= self.aux_count <= FILL_OFFSET - AUX_OFFSET,
+                 "standardization=auxiliary needs aux_count >= 2 and "
+                 "<= %d" % (FILL_OFFSET - AUX_OFFSET)),
+                # the sds of the table's extrapolated values
+                (self.method not in DENSITY_METHODS
+                 and self.standardization == "extrapolated"
+                 and self.table_size < 2,
+                 "method %s with standardization=extrapolated needs "
+                 "table_size >= 2" % self.method),
                 (self.method == "RE" and not sampled,
                  "method RE needs a sample_triangle_count summary"),
                 # the density they accept by is bivariate
@@ -123,10 +142,7 @@ class RunConfig:
                  "not %d" % (self.method, need, len(cps))),
                 (sampled and self.n_star > first,
                  "n_star=%d exceeds the %d nodes where the sampled "
-                 "summary is first evaluated" % (self.n_star, first)),
-                (self.seed_type == "er" and self.seed_n >= first,
-                 "seed_n=%d is not below the %d nodes where summaries "
-                 "are first evaluated" % (self.seed_n, first))):
+                 "summary is first evaluated" % (self.n_star, first))):
             if bad:
                 raise ConfigError(reason)
         return self
@@ -142,6 +158,13 @@ class RunConfig:
 
     def prior_box(self):
         return PriorBox(tuple(self.prior_low), tuple(self.prior_high))
+
+    def entry_plan(self):
+        """The growth plan of a table entry: method S entries grow to
+        n_o without checkpoints."""
+        if self.method == "S":
+            return GrowthPlan(self.n_o)
+        return GrowthPlan(self.n_s, self.checkpoints(), self.summary_specs())
 
     def checkpoints(self):
         stop = min(self.checkpoint_stop or self.n_s, self.n_s)

@@ -294,15 +294,6 @@ def extrapolate(fit, n_o):
     return value
 
 
-DEFAULT_FAMILY_BY_KIND = {
-    "avg_degree": "power",
-    "triangle_count": "power",
-    "sample_triangle_count": "power_offset",
-    "in_degree_mean": "inverse",
-    "in_degree_variance": "digamma",
-}
-
-
 class CurveExtrapolator:
     """sklearn-style estimator wrapping :func:`fit_series`.
 

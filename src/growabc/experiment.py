@@ -12,6 +12,7 @@ import numpy as np
 from .config import DENSITY_METHODS, config_hash
 from .errors import ConfigError
 from .graph import count_triangles, induced_triangles, sample_nodes
+from .models import GrowthPlan
 from .pool import pool_map
 from .rejection import (
     accept_top_k_density,
@@ -45,8 +46,10 @@ def compute_sds(cfg, entries):
 
 def _checked_table(cfg, table_path, out_dir, workers, resume):
     """Validate, build the table (resume it, or build only a missing one)
-    and load it, refusing an interrupted table or one with fewer usable
-    rows than ``accept_k``; returns (entries, failed count, sds)."""
+    and load it, refusing an interrupted table, one with fewer usable
+    rows than ``accept_k``, or one with fewer than 2 when its rows give
+    the standardization sds; returns (entries, failed count, sds), the
+    sds None for the density methods, which read none."""
     cfg.validate()
     if cfg.accept_k > cfg.table_size:
         raise ConfigError("accept_k exceeds table_size")
@@ -60,6 +63,11 @@ def _checked_table(cfg, table_path, out_dir, workers, resume):
             % (table_path, len(entries) + failed, cfg.table_size))
     if cfg.accept_k > len(entries):
         raise ConfigError("accept_k exceeds the usable table size")
+    if cfg.method in DENSITY_METHODS:
+        return entries, failed, None
+    if cfg.standardization == "extrapolated" and len(entries) < 2:
+        raise ConfigError("%s holds %d usable rows; the sds need 2"
+                          % (table_path, len(entries)))
     return entries, failed, compute_sds(cfg, entries)
 
 
@@ -207,7 +215,7 @@ def _time_observed_summary(cfg, reps):
     from scratch, vs on an induced subsample."""
     rng = np.random.default_rng(observed_seed(cfg.master_seed, 0, 0))
     theta = draw_prior(cfg.prior_box(), rng)
-    _, g = grow_to(cfg, theta, rng, cfg.n_o, (), ())
+    _, g = grow_to(cfg, theta, rng, GrowthPlan(cfg.n_o))
     n_star = min(cfg.n_star, g.node_count)
     start = time.perf_counter()
     for _ in range(reps):

@@ -367,15 +367,6 @@ def summary_correlation(fits, columns):
     return CorrelationResult(corr, False)
 
 
-DEFAULT_WARP_BY_KIND = {
-    "avg_degree": "sqrt",
-    "triangle_count": "identity",
-    "sample_triangle_count": "identity",
-    "in_degree_mean": "sqrt",
-    "in_degree_variance": "identity",
-}
-
-
 class GpExtrapolator:
     """sklearn-style estimator: fit a GP to (node counts, values) and
     predict the summary (optionally with its sd) at new node counts."""

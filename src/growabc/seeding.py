@@ -4,12 +4,14 @@ A SplitMix64-style finalizer over (master_seed, stream index) so that
 parallel build order never affects which random stream an entry sees.
 Every stream of a run is seeded by ``mix_seed(master_seed, index)``,
 with one index range per role: table entry ``b`` uses ``b``; replicate
-``r`` of truth ``t`` uses ``OBSERVED_OFFSET + t * 10**5 + r`` for its
-observed network (``observed_seed``) and ``FILL_OFFSET + t * 10**5 + r``
-for its zero-density fills (``fill_seed``); auxiliary standardisation
-draw ``i`` uses ``AUX_OFFSET + i`` (``aux_seed``). ``abc_run`` without
-an observed vector, CLI ``ingest`` and the timing report use replicate
-(0, 0), the study's first.
+``r`` of truth ``t`` uses ``OBSERVED_OFFSET + t * REPLICATE_BLOCK + r``
+for its observed network (``observed_seed``) and
+``FILL_OFFSET + t * REPLICATE_BLOCK + r`` for its zero-density fills
+(``fill_seed``); auxiliary standardisation draw ``i`` uses
+``AUX_OFFSET + i`` (``aux_seed``). ``RunConfig.validate`` keeps every
+index inside its role's range. ``abc_run`` without an observed vector,
+CLI ``ingest`` and the timing report use replicate (0, 0), the study's
+first.
 """
 
 import functools
@@ -20,6 +22,8 @@ _MASK = (1 << 64) - 1
 OBSERVED_OFFSET = 1_000_000_000
 AUX_OFFSET = 2_000_000_000
 FILL_OFFSET = 3_000_000_000
+# stream indices per truth: the replicates of one truth
+REPLICATE_BLOCK = 100_000
 
 
 def mix_seed(master_seed, index):
@@ -31,7 +35,7 @@ def mix_seed(master_seed, index):
 
 
 def _replicate_seed(offset, master_seed, truth_idx, rep):
-    return mix_seed(master_seed, offset + truth_idx * 100_000 + rep)
+    return mix_seed(master_seed, offset + truth_idx * REPLICATE_BLOCK + rep)
 
 
 # (master_seed, truth_idx, rep) -> seed of that replicate's stream

@@ -8,13 +8,15 @@ import numpy as np
 from .errors import SampleTooLarge, WrongDirectedness
 from .graph import induced_triangles, sample_nodes
 
-KINDS = (
-    "avg_degree",
-    "triangle_count",
-    "sample_triangle_count",
-    "in_degree_mean",
-    "in_degree_variance",
-)
+# per kind: the least-squares family (``curvefit``) and the GP kernel
+# warp (``gp``) that its checkpoint series is extrapolated with
+KINDS = {
+    "avg_degree": ("power", "sqrt"),
+    "triangle_count": ("power", "identity"),
+    "sample_triangle_count": ("power_offset", "identity"),
+    "in_degree_mean": ("inverse", "sqrt"),
+    "in_degree_variance": ("digamma", "identity"),
+}
 
 SAMPLED_KINDS = ("sample_triangle_count",)
 DIRECTED_KINDS = ("in_degree_mean", "in_degree_variance")
@@ -45,6 +47,16 @@ class SummarySpec:
     @property
     def name(self):
         return self.kind
+
+    @property
+    def family(self):
+        """The least-squares family this summary is extrapolated with."""
+        return KINDS[self.kind][0]
+
+    @property
+    def warp(self):
+        """The GP kernel warp this summary is extrapolated with."""
+        return KINDS[self.kind][1]
 
 
 @dataclass

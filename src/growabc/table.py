@@ -7,10 +7,12 @@ correlation. An entry fails only when its fit does (``NotConverged``,
 ``SingularKernel`` or ``OverflowError``): it then writes nan values and
 ``failed=1``. Any other exception stops the build, and
 ``RunConfig.validate`` refuses an invalid config before any entry is
-built. The seed graph is built once, before any entry (an edge-list
+built. ``grow_to`` grows a copy of the seed graph by a ``GrowthPlan``:
+an entry by ``RunConfig.entry_plan()``, an observed network by a plan
+to n_o. The seed graph is built once, before any entry (an edge-list
 seed file is read, and so checked, then, and the entries' growth plan
-is checked against its size), and every entry grows a copy of it; the
-SciPy modules the entries call are imported then too. Rows are written
+is checked against its size); the SciPy modules the entries call are
+imported then too. Rows are written
 incrementally and builds are resumable by entry id, guarded by a config
 hash in the header comment. Resuming checks that hash, then cuts off a
 last row without its newline (a build killed mid-write), and reading
@@ -52,16 +54,8 @@ def build_seed_graph(cfg):
         st = os.stat(path)
         return _edge_list_seed(path, st.st_mtime_ns, st.st_size,
                                cfg.model == "price", cfg.seed_cutoff,
-                               _entry_plan(cfg).tracks_triangles)
+                               cfg.entry_plan().tracks_triangles)
     return _random_seed(cfg.model, cfg.seed_n, cfg.seed_p, cfg.seed_rng)
-
-
-def _entry_plan(cfg):
-    """The growth plan of the config's table entries: method S entries
-    grow to n_o without checkpoints."""
-    if cfg.method == "S":
-        return GrowthPlan(cfg.n_o)
-    return GrowthPlan(cfg.n_s, cfg.checkpoints(), cfg.summary_specs())
 
 
 @functools.lru_cache(maxsize=4)
@@ -79,20 +73,18 @@ def _random_seed(model, seed_n, seed_p, seed_rng):
     return er_seed(seed_n, seed_p, seed_rng)
 
 
-def grow_to(cfg, theta, rng, n_target, checkpoints, specs):
-    """Grow the configured model to n_target, tracking the given
-    summaries; returns (TrackedSeries, final graph)."""
-    seed = build_seed_graph(cfg)
-    plan = GrowthPlan(n_target=n_target, checkpoints=tuple(checkpoints),
-                      summaries=tuple(specs))
+def grow_to(cfg, theta, rng, plan):
+    """Grow the configured model from its seed graph by ``plan``, a
+    GrowthPlan; returns (TrackedSeries, final graph)."""
     grow = grow_dmc if cfg.model == "dmc" else grow_price
-    return grow(seed, cfg.growth_params(theta), plan, rng, return_graph=True)
+    return grow(build_seed_graph(cfg), cfg.growth_params(theta), plan, rng,
+                return_graph=True)
 
 
 def simulate_observed(cfg, theta, rng):
     """Full-size simulation: summary vector of a model draw at n_o."""
     specs = cfg.summary_specs()
-    _, g = grow_to(cfg, theta, rng, cfg.n_o, (), ())
+    _, g = grow_to(cfg, theta, rng, GrowthPlan(cfg.n_o))
     return tuple(evaluate(spec, g, rng) for spec in specs)
 
 
@@ -102,13 +94,13 @@ def _entry_values(cfg, theta, rng):
     if cfg.method == "S":
         return simulate_observed(cfg, theta, rng), None, None
 
-    series, _ = grow_to(cfg, theta, rng, cfg.n_s, cfg.checkpoints(), specs)
+    series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
     grid = np.asarray(series.checkpoints, dtype=float)
     if cfg.method not in GP_METHODS:  # LS and RE
         ext = []
         for spec in specs:
-            family = curvefit.DEFAULT_FAMILY_BY_KIND[spec.kind]
-            fit = curvefit.fit_series(grid, series.column(spec.name), family)
+            fit = curvefit.fit_series(grid, series.column(spec.name),
+                                      spec.family)
             ext.append(curvefit.extrapolate(fit, cfg.n_o))
         return tuple(ext), None, None
 
@@ -117,8 +109,7 @@ def _entry_values(cfg, theta, rng):
     for spec in specs:
         col = series.column(spec.name)
         ls = curvefit.fit_series(grid, col, "power")
-        kspec = gp.KernelSpec(cfg.kernel,
-                              gp.DEFAULT_WARP_BY_KIND[spec.kind])
+        kspec = gp.KernelSpec(cfg.kernel, spec.warp)
         fit = gp.fit_map(grid, col, kspec, ls)
         pred = gp.predict(fit, cfg.n_o)
         fits.append(fit)
@@ -210,8 +201,7 @@ def _load_task_scipy(cfg):
     if cfg.method in GP_METHODS:
         gp.load_scipy()
     if cfg.method in ("LS", "RE") and any(
-            curvefit.DEFAULT_FAMILY_BY_KIND[spec.kind] == "digamma"
-            for spec in cfg.summary_specs()):
+            spec.family == "digamma" for spec in cfg.summary_specs()):
         curvefit.load_scipy()
 
 
@@ -225,7 +215,7 @@ def build_reference_table(cfg, out_path, workers=None):
     inherits them too."""
     cfg.validate()
     try:  # an edge-list seed can be too large for the entries' plan
-        _entry_plan(cfg).validate(build_seed_graph(cfg).node_count)
+        cfg.entry_plan().validate(build_seed_graph(cfg).node_count)
     except PlanInvalid as exc:
         raise ConfigError(str(exc)) from exc
     _load_task_scipy(cfg)

@@ -6,7 +6,6 @@ import pytest
 
 from growabc.config import RunConfig
 from growabc.curvefit import (
-    DEFAULT_FAMILY_BY_KIND,
     EULER_GAMMA,
     CurveExtrapolator,
     FunctionalForm,
@@ -33,10 +32,10 @@ def tracked_series(cfg, entry_id):
     grown exactly as the table build grows it."""
     rng = np.random.default_rng(mix_seed(cfg.master_seed, entry_id))
     theta = draw_prior(cfg.prior_box(), rng)
-    specs = cfg.summary_specs()
-    series, _ = grow_to(cfg, theta, rng, cfg.n_s, cfg.checkpoints(), specs)
+    series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
     grid = np.asarray(series.checkpoints, dtype=float)
-    return grid, {spec.kind: series.column(spec.name) for spec in specs}
+    return grid, {spec.kind: series.column(spec.name)
+                  for spec in cfg.summary_specs()}
 
 
 def profile_floor(n, s, family, cs=np.linspace(-4.0, 5.0, 2001)):
@@ -274,9 +273,9 @@ class TestFoundSampledTriangleFits:
             grid, cols = tracked_series(cfg, b)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                fits = {kind: fit_series(grid, col,
-                                         DEFAULT_FAMILY_BY_KIND[kind])
-                        for kind, col in cols.items()}
+                fits = {spec.kind: fit_series(grid, cols[spec.kind],
+                                              spec.family)
+                        for spec in cfg.summary_specs()}
             assert all(fit.converged for fit in fits.values())
             if b in FOUND_SSE_BOUNDS:
                 fit = fits["sample_triangle_count"]

@@ -433,10 +433,9 @@ class TestFitMap:
                         master_seed=2)
         rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
         theta = draw_prior(cfg.prior_box(), rng)
-        specs = cfg.summary_specs()
-        series, _ = grow_to(cfg, theta, rng, cfg.n_s, cfg.checkpoints(),
-                            specs)
-        (spec,) = [sp for sp in specs if sp.kind == "triangle_count"]
+        series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
+        (spec,) = [sp for sp in cfg.summary_specs()
+                   if sp.kind == "triangle_count"]
         grid = np.asarray(series.checkpoints, dtype=float)
         s = np.asarray(series.column(spec.name), dtype=float)
         fit = fit_map(grid, s, KernelSpec("linear_plus_rbf", "identity"),

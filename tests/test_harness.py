@@ -227,6 +227,23 @@ class TestTableBuild:
             assert all(v > 0 for v in e.gp_variances)
             assert -1.0 <= e.gp_correlation <= 1.0
 
+    def test_tables_of_one_master_seed_pair_row_by_row(self, tmp_path):
+        # theta is entry b's first draw, and these summaries draw nothing
+        # at the checkpoints, so row b of an S table is row b of an LS or
+        # GPa table grown on to n_o. RE is left out: its sampled summary
+        # draws from the growth stream.
+        pairs = []
+        for method in ("S", "LS", "GPa"):
+            cfg = RunConfig(n_s=60, n_o=80, table_size=4, workers=1,
+                            method=method)
+            path = build_reference_table(cfg, str(tmp_path / method))
+            with open(path) as fh:
+                rows = list(csv.DictReader(fh.readlines()[1:]))
+            pairs.append([(r["entry_id"], r["rng_seed"], r["q_m"], r["q_c"])
+                          for r in rows])
+        assert [p[0] for p in pairs[0]] == ["1", "2", "3", "4"]
+        assert pairs[1] == pairs[0] and pairs[2] == pairs[0]
+
 
 class TestIngest:
     def test_triangle_file(self, tmp_path):
@@ -567,8 +584,7 @@ class TestUntrackedGraphs:
         cfg = small_cfg(seed_type="edgelist", seed_path=str(path),
                         summaries="avg_degree")
         _, grown = table.grow_to(cfg, (0.25, 0.5), np.random.default_rng(1),
-                                 cfg.n_s, cfg.checkpoints(),
-                                 cfg.summary_specs())
+                                 cfg.entry_plan())
         assert grown._bits is None and not grown.tracks_triangles
 
 

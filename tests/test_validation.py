@@ -10,14 +10,17 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from growabc import table
-from growabc.config import RunConfig, apply_overrides
+from growabc import experiment, table
+from growabc.config import (DENSITY_METHODS, METHODS, RunConfig,
+                            apply_overrides)
 from growabc.errors import ConfigError
 from growabc.experiment import abc_run, run_experiment
 from growabc.graph import er_seed, write_edge_list
 from growabc.rejection import (ReferenceTable, standardization_sds,
                                std_euclidean)
-from growabc.table import build_reference_table, load_reference_table
+from growabc.seeding import aux_seed, fill_seed, mix_seed, observed_seed
+from growabc.table import (build_reference_table, load_reference_table,
+                           simulate_observed)
 
 BASE = dict(n_s=60, n_o=80, table_size=4, workers=1)
 
@@ -50,6 +53,8 @@ PROBES = {
     "gpa_with_a_summary_named_twice": ["method=GPa",
                                        "summaries=avg_degree,avg_degree"],
     "summary_named_twice": ["summaries=avg_degree, avg_degree"],
+    # wrote table.csv, then raised TooFewInputs from compute_sds
+    "one_row_table": ["table_size=1", "accept_k=1"],
 }
 
 
@@ -147,16 +152,12 @@ def test_accept_k_above_table_size_is_refused_before_the_build(tmp_path,
     assert not table_path.exists()
 
 
-@pytest.mark.parametrize("run", ["experiment", "abc_run"])
-def test_accept_k_above_the_usable_rows_is_refused(tmp_path, run):
-    # abc_run used to raise KTooLarge from inside acceptance here, while
-    # run_experiment raised ConfigError
-    cfg = RunConfig(n_s=60, n_o=80, table_size=6, accept_k=3, workers=1)
-    table_path = tmp_path / "table.csv"
-    build_reference_table(cfg, str(table_path))
+def _fail_rows(table_path, count):
+    """Rewrite the first ``count`` rows of a built table as failed
+    entries."""
     lines = table_path.read_text().splitlines(keepends=True)
     header = lines[1].strip().split(",")
-    for i in range(2, 6):  # four of six rows failed: two usable
+    for i in range(2, 2 + count):
         row = lines[i].strip().split(",")
         for j, col in enumerate(header):
             if col.startswith("ext_"):
@@ -164,6 +165,16 @@ def test_accept_k_above_the_usable_rows_is_refused(tmp_path, run):
         row[-1] = "1"
         lines[i] = ",".join(row) + "\n"
     table_path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("run", ["experiment", "abc_run"])
+def test_accept_k_above_the_usable_rows_is_refused(tmp_path, run):
+    # abc_run used to raise KTooLarge from inside acceptance here, while
+    # run_experiment raised ConfigError
+    cfg = RunConfig(n_s=60, n_o=80, table_size=6, accept_k=3, workers=1)
+    table_path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(table_path))
+    _fail_rows(table_path, 4)  # four of six rows failed: two usable
     entries, failed, _ = load_reference_table(str(table_path))
     assert (len(entries), failed) == (2, 4)
     with pytest.raises(ConfigError, match="usable table size"):
@@ -256,3 +267,72 @@ def test_abc_run_refuses_an_interrupted_table(tmp_path):
     assert path.read_bytes() == full
     abc_run(cfg, str(path), str(run_dir))
     assert (run_dir / "posterior.csv").exists()
+
+
+@pytest.mark.parametrize("run", ["experiment", "abc_run"])
+def test_one_usable_row_is_refused_for_the_sds(tmp_path, run):
+    # the table passed every check, then compute_sds raised TooFewInputs
+    cfg = RunConfig(n_s=60, n_o=80, table_size=3, accept_k=1, workers=1)
+    table_path = tmp_path / "table.csv"
+    build_reference_table(cfg, str(table_path))
+    _fail_rows(table_path, 2)
+    with pytest.raises(ConfigError, match="1 usable rows; the sds need 2"):
+        if run == "experiment":
+            run_experiment(cfg, str(tmp_path))
+        else:
+            abc_run(cfg, str(table_path), str(tmp_path / "run"),
+                    observed=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_one_row_table_needs_density_acceptance_or_auxiliary_sds(method):
+    cfg = RunConfig(**dict(BASE, method=method, table_size=1, accept_k=1,
+                           summaries="avg_degree,sample_triangle_count",
+                           n_star=35))
+    if method in DENSITY_METHODS:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="table_size >= 2"):
+            cfg.validate()
+    replace(cfg, standardization="auxiliary", aux_count=2).validate()
+
+
+@pytest.mark.parametrize("standardization", ["extrapolated", "auxiliary"])
+@pytest.mark.parametrize("method", DENSITY_METHODS)
+def test_density_methods_compute_no_sds(tmp_path, monkeypatch, method,
+                                        standardization):
+    # a one-row table raised TooFewInputs from compute_sds, and under
+    # auxiliary aux_count networks were grown to n_o; acceptance by
+    # density reads neither
+    grown = []
+    monkeypatch.setattr(experiment, "simulate_observed",
+                        lambda *a: grown.append(a) or simulate_observed(*a))
+    cfg = RunConfig(**dict(BASE, method=method, table_size=1, accept_k=1,
+                           standardization=standardization, aux_count=3))
+    posterior = abc_run(cfg, str(tmp_path / "table.csv"),
+                        str(tmp_path / "run"))
+    assert list(posterior.entry_ids) == [1]
+    assert len(grown) == 1  # the observed network
+
+
+# per bound: its smallest refused value, its largest allowed one, and
+# two streams that the refused value would seed alike
+@pytest.mark.parametrize("refused, allowed, same_seed", [
+    (dict(exp_replicates=100_001), dict(exp_replicates=100_000),
+     (observed_seed(0, 0, 100_000), observed_seed(0, 1, 0))),
+    (dict(table_size=10**9), dict(table_size=10**9 - 1),
+     (mix_seed(0, 10**9), observed_seed(0, 0, 0))),
+    (dict(truths=";".join(["0.25:0.5"] * 10_001)),
+     dict(truths=";".join(["0.25:0.5"] * 10_000)),
+     (observed_seed(0, 10_000, 0), aux_seed(0, 0))),
+    (dict(standardization="auxiliary", aux_count=10**9 + 1),
+     dict(standardization="auxiliary", aux_count=10**9),
+     (aux_seed(0, 10**9), fill_seed(0, 0, 0))),
+], ids=["exp_replicates", "table_size", "truths", "aux_count"])
+def test_stream_index_collisions_are_refused(refused, allowed, same_seed):
+    # validated only: building at these sizes would take hours
+    assert same_seed[0] == same_seed[1]
+    cfg = RunConfig(truths="0.25:0.5;0.3:0.6")
+    with pytest.raises(ConfigError):
+        replace(cfg, **refused).validate()
+    replace(cfg, **allowed).validate()
