@@ -236,6 +236,8 @@ def timing_report(cfg, out_path, n_o_list=None, table_sizes=(10, 100),
     cfg.validate()
     if n_o_list is None:
         n_o_list = [cfg.n_o]
+    for n_o in n_o_list:  # refuse a bad n_o before timing anything
+        replace(cfg, n_o=n_o).validate()
     reps = max(1, cfg.timing_reps)
     rows = []
     for n_o in n_o_list:

@@ -12,7 +12,10 @@ nodes and 3.0-3.5 MB at 5,000 on DMC graphs, against 0.5-1.5 MB and
 no count and counts its triangles from scratch when asked
 (``count_triangles``, NumPy only: degree-ordered arcs intersected as bit
 rows over blocks of columns), so a graph whose count is read once, or
-never, pays nothing per mutation. The module imports no SciPy.
+never, pays nothing per mutation. Beside the checked public mutations,
+``Graph.add_duplicate`` applies a whole DMC duplication in one pass and
+checks nothing, for its ids come from the graph itself; it serves
+undirected graphs only. The module imports no SciPy.
 """
 
 import itertools
@@ -49,6 +52,9 @@ class Graph:
     are rejected; a directed graph never holds both u->v and v->u, and
     besides the projection keeps only in-neighbor sets (``_in``): u's
     out-neighbors are ``_adj[u] - _in[u]``, and each arc is one edge.
+    The public mutations check their ids; ``add_duplicate``, the DMC
+    step's mutation, trusts its caller to take them from the graph and
+    keeps no in-neighbor sets, so it serves undirected graphs only.
     """
 
     def __init__(self, directed=False, track_triangles=False):
@@ -134,6 +140,54 @@ class Graph:
             for w in nbrs:
                 self._in[w].add(u)
         self._edge_count += len(nbrs)
+        return u
+
+    def add_duplicate(self, v, kept, lost):
+        """Drop v's edges to ``lost``, then add a node adjacent to
+        ``kept``; returns the new id. This is the one mutation of a DMC
+        step, applied in a single pass.
+
+        The neighbor sets, bitmasks, running triangle count and edge
+        count end as after ``remove_edge(v, w)`` for each w in ``lost``,
+        in order, followed by ``add_node_with_edges(kept)``. Nothing is
+        checked: the graph must be undirected, each id in ``lost`` a
+        distinct neighbor of v, and ``kept`` distinct ids of this graph
+        (v among them or not), as the step takes them from the graph.
+        """
+        adj = self._adj
+        u = len(adj)
+        bits = self._bits
+        if bits is None:
+            for w in lost:
+                adj[w].discard(v)
+            for w in kept:
+                adj[w].add(u)
+        else:
+            # each lost edge v-w takes the triangles v and w still share
+            bv = bits[v]
+            bit = 1 << v
+            closed = 0
+            for w in lost:
+                adj[w].discard(v)
+                bv ^= 1 << w
+                bits[w] = bw = bits[w] ^ bit
+                closed -= (bv & bw).bit_count()
+            bits[v] = bv
+            # as in add_node_with_edges: each edge among the kept ids
+            # closes one triangle, counted from the id listed later
+            bit = 1 << u
+            mask = 0
+            for w in kept:
+                adj[w].add(u)
+                bw = bits[w]
+                closed += (bw & mask).bit_count()
+                bits[w] = bw | bit
+                mask |= 1 << w
+            bits.append(mask)
+            self._triangle_count += closed
+        adj[v].difference_update(lost)
+        adj.append(set(kept))
+        self._edge_count += len(kept) - len(lost)
         return u
 
     def has_edge(self, u, v):

@@ -83,11 +83,14 @@ def dmc_step(g, params, rng):
     loses the edge, else the duplicate does); then one uniform tested
     against q_c. The uniforms are drawn in blocks that never exceed what
     the remaining steps of that order still need, so the stream is the
-    same as with one ``rng.random()`` call per draw. The graph is then
-    changed once, to its final state: the anchor's lost edges are
-    removed, and the duplicate is added with only the edges it keeps,
-    the link to the anchor among them.
+    same as with one ``rng.random()`` call per draw. The draws made, the
+    graph is changed once, to its final state, by ``Graph.add_duplicate``
+    in one pass: the anchor loses its lost edges, and the duplicate is
+    added with only the edges it keeps, the link to the anchor among
+    them. A directed graph is refused, as ``grow_dmc`` refuses it.
     """
+    if g.directed:
+        raise PlanInvalid("DMC growth needs an undirected seed")
     v = int(rng.integers(g.node_count))
     nbrs = sorted(g.neighbors(v))
     d = len(nbrs)
@@ -113,9 +116,7 @@ def dmc_step(g, params, rng):
         draws += rng.random(1).tolist()
     if draws[i] < params.q_c:
         kept.append(v)
-    for w in lost:
-        g.remove_edge(v, w)
-    g.add_node_with_edges(kept)
+    g.add_duplicate(v, kept, lost)
 
 
 def preferential_sample(in_degrees, k0, count, rng):
@@ -156,9 +157,9 @@ def _grow(seed, step, plan, rng):
     g = seed.copy(track_triangles=plan.tracks_triangles)
     cps = set(plan.checkpoints)
     rows = []
-    while g.node_count < plan.n_target:
-        step(g, rng)
-        if g.node_count in cps:
+    for n in range(g.node_count + 1, plan.n_target + 1):
+        step(g, rng)  # adds node n - 1, so the graph holds n nodes
+        if n in cps:
             rows.append([evaluate(spec, g, rng) for spec in plan.summaries])
     values = np.asarray(rows, dtype=float)
     if values.size == 0:

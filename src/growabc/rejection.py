@@ -165,6 +165,10 @@ def bivariate_density(mean, variances, corr, observed, inflate=1.0):
     z2 = (observed[1] - mean[1]) / math.sqrt(v2 * inflate)
     omc = 1.0 - corr * corr
     quad = (z1 * z1 - 2.0 * corr * z1 * z2 + z2 * z2) / omc
+    # quad >= 0 when |corr| < 1; residuals too large for a float make it
+    # inf, or nan as inf - inf, and either way the density's limit is 0
+    if not math.isfinite(quad):
+        return 0.0
     norm = 2.0 * math.pi * inflate * math.sqrt(v1 * v2 * omc)
     try:
         return math.exp(-0.5 * quad) / norm
@@ -175,7 +179,8 @@ def bivariate_density(mean, variances, corr, observed, inflate=1.0):
 def accept_top_k_density(table, observed, k, inflate, rng, method="GPa"):
     """Keep the k entries with the highest reconstructed-normal density.
 
-    Entries whose densities underflow to zero only fill remaining slots,
+    Entries whose densities underflow to zero, or whose residuals
+    overflow (density 0 in the limit), only fill remaining slots,
     chosen uniformly at random among themselves; the number of such
     fills is reported on the posterior. The density is bivariate, so an
     ``observed`` vector or an entry that does not hold exactly two

@@ -198,6 +198,78 @@ class TestRemoveEdge:
             assert g.triangle_count == brute_force_triangles(g)
 
 
+def _duplicate_both_ways(g, v, kept, lost):
+    """Copies of ``g`` after ``add_duplicate`` and after the checked
+    mutations it stands for: the ``remove_edge`` loop, then
+    ``add_node_with_edges``."""
+    fast, ref = g.copy(), g.copy()
+    u = fast.add_duplicate(v, kept, lost)
+    for w in lost:
+        ref.remove_edge(v, w)
+    assert ref.add_node_with_edges(kept) == u == g.node_count
+    return fast, ref
+
+
+def assert_same_graph(fast, ref):
+    assert fast._adj == ref._adj
+    assert fast.edge_count == ref.edge_count
+    assert fast._bits == ref._bits
+    assert fast._triangle_count == ref._triangle_count
+    assert fast.triangle_count == brute_force_triangles(fast)
+
+
+# (graph size, v, kept, lost) on a complete graph
+DUPLICATE_CASES = {
+    # the duplicate links to its anchor, as when the q_c draw succeeds
+    "kept_holds_v": (5, 0, [1, 2, 0], [3]),
+    # 0-1 and 0-2 share the neighbors 3 and 4, and each other
+    "lost_ends_share_neighbors": (5, 0, [3, 4], [1, 2]),
+    "empty_kept": (4, 1, [], [0, 2, 3]),
+    "empty_lost": (4, 2, [0, 1, 3, 2], []),
+    "lone_node": (1, 0, [], []),
+}
+
+
+class TestAddDuplicate:
+    @pytest.mark.parametrize("tracked", [True, False],
+                             ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("case", DUPLICATE_CASES)
+    def test_matches_the_checked_mutations(self, case, tracked):
+        n, v, kept, lost = DUPLICATE_CASES[case]
+        g = complete_graph(n, track_triangles=tracked)
+        fast, ref = _duplicate_both_ways(g, v, kept, lost)
+        assert_same_graph(fast, ref)
+        assert fast.tracks_triangles == tracked
+        if tracked:
+            assert_bitmasks_match(fast)
+
+    @pytest.mark.parametrize("tracked", [True, False],
+                             ids=["tracked", "untracked"])
+    def test_random_splits(self, tracked):
+        # each step splits an anchor's neighbors at random into kept,
+        # lost or both, the way a DMC step does
+        rng = np.random.default_rng(17)
+        g = random_graph(15, 0.4, rng, track_triangles=tracked)
+        for _ in range(60):
+            v = int(rng.integers(g.node_count))
+            kept, lost = [], []
+            for w in sorted(g.neighbors(v)):
+                r = rng.random()
+                if r < 0.3:
+                    lost.append(w)
+                elif r < 0.6:
+                    kept.append(w)
+                elif r < 0.8:
+                    lost.append(w)
+                    kept.append(w)
+            if rng.random() < 0.5:
+                kept.append(v)
+            fast, g = _duplicate_both_ways(g, v, kept, lost)
+            assert_same_graph(fast, g)
+        if tracked:
+            assert_bitmasks_match(g)
+
+
 class TestSampleNodes:
     def test_full_sample(self):
         g = complete_graph(5)

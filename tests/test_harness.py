@@ -49,7 +49,7 @@ from growabc.table import (
     load_reference_table,
     simulate_observed,
 )
-from growabc import cli, graph, table
+from growabc import cli, experiment, graph, table
 
 
 SMALL = dict(n_s=60, n_o=80, table_size=6, accept_k=3, exp_replicates=3,
@@ -601,6 +601,19 @@ class TestTiming:
         for row in rows[1:]:
             assert float(row[4]) >= 0.0
 
+    def test_n_o_below_n_s_is_refused_before_timing(self, tmp_path,
+                                                     monkeypatch):
+        # an n_o of 40 used to be timed: entries grown to n_s=60 and
+        # extrapolated back to 40
+        def timed(*args):
+            raise AssertionError("timed before every n_o was validated")
+
+        monkeypatch.setattr(experiment, "_time_entry_build", timed)
+        path = str(tmp_path / "timing.csv")
+        with pytest.raises(ConfigError, match="n_s must be <= n_o"):
+            timing_report(small_cfg(), path, n_o_list=[80, 40])
+        assert not os.path.exists(path)
+
 
 class TestCli:
     def _cfg_file(self, tmp_path):
@@ -655,6 +668,14 @@ class TestCli:
         assert cli.main(["timing", "--config", cfg, "--out", out,
                          "--n-o-list", "80", "--table-sizes", "2"]) == 0
         assert os.path.exists(os.path.join(out, "timing.csv"))
+
+    def test_timing_n_o_below_n_s_exit_code(self, tmp_path, capsys):
+        cfg = self._cfg_file(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["timing", "--config", cfg, "--out", out,
+                         "--n-o-list", "40", "--table-sizes", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError:")
+        assert not os.path.exists(os.path.join(out, "timing.csv"))
 
     def test_override_flag(self, tmp_path):
         cfg = self._cfg_file(tmp_path)

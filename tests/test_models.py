@@ -153,6 +153,31 @@ class TestTriangleTracking:
             grown[None][1])
 
 
+class TestDmcBookkeeping:
+    """Each step's one-pass mutation keeps the bitmasks, edge count and
+    running triangle count of the graph it changes."""
+
+    @pytest.mark.parametrize("theta", TRACKING_THETAS)
+    def test_after_every_step(self, theta):
+        params = DmcParams(*theta)
+        g = er_seed(30, 0.2, 1).copy(track_triangles=True)
+        rng = np.random.default_rng(9)
+        for step in range(1, 271):
+            dmc_step(g, params, rng)
+            assert g._bits == [sum(1 << w for w in s) for s in g._adj]
+            assert 2 * g.edge_count == sum(map(len, g._adj))
+            if step % 15 == 0:
+                assert g.triangle_count == brute_force_triangles(g)
+
+    def test_directed_graph_refused(self):
+        # used to run and add arcs
+        g = directed_seed(10, 0.4, 1)
+        before = sorted(g.edges())
+        with pytest.raises(PlanInvalid, match="undirected seed"):
+            dmc_step(g, DmcParams(0.3, 0.5), np.random.default_rng(0))
+        assert g.node_count == 10 and sorted(g.edges()) == before
+
+
 class TestGrowDmc:
     def test_single_checkpoint(self):
         seed = er_seed(30, 0.2, 7)

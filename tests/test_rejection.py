@@ -275,6 +275,13 @@ class TestBivariateDensity:
         d = bivariate_density((0.0, 0.0), (1e-6, 1e-6), 0.0, (100.0, 100.0))
         assert d == 0.0
 
+    @pytest.mark.parametrize("corr", [0.5, -0.5])
+    def test_overflowing_residuals_score_zero(self, corr):
+        # z1**2 and 2 * corr * z1 * z2 both overflow to inf: at corr 0.5
+        # their difference used to make the density nan
+        assert bivariate_density((10.0, 50.0), (1.0, 4.0), corr,
+                                 (1e200, 1e200)) == 0.0
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateCovariance):
             bivariate_density((0.0, 0.0), (0.0, 1.0), 0.0, (0.0, 0.0))
@@ -358,6 +365,25 @@ class TestTopKDensity:
             assert score == (bivariate_density(
                 by_id[i].ext_summaries, (1.0, 1.0), 0.0, (110.0, 10.0))
                 if i == 1 else 0.0)
+
+    @pytest.mark.parametrize("n_positive_corr", [3, 1])
+    def test_overflowing_residuals_fill_as_zero_density(self,
+                                                        n_positive_corr):
+        # an entry whose density was nan joined neither list: with three
+        # such entries the fills raised ValueError, with one they were
+        # drawn from the other four entries only
+        table = [entry(i, (0.1 * i, 0.5), (10.0, 50.0), (1.0, 4.0),
+                       0.5 if i < n_positive_corr else -0.5)
+                 for i in range(5)]
+        for seed in range(5):
+            post = accept_top_k_density(table, (1e200, 1e200), k=3,
+                                        inflate=1.0,
+                                        rng=np.random.default_rng(seed))
+            assert post.zero_density_fills == 3
+            assert [score for _, score in post.accepted] == [0.0] * 3
+            want = np.random.default_rng(seed).choice(5, size=3,
+                                                      replace=False)
+            assert post.entry_ids == tuple(want.tolist())
 
     def test_missing_gp_fields(self):
         table = [entry(0, (0.5, 0.5), (1.0, 1.0))]
