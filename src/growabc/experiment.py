@@ -216,14 +216,13 @@ def _time_observed_summary(cfg, reps):
     rng = np.random.default_rng(observed_seed(cfg.master_seed, 0, 0))
     theta = draw_prior(cfg.prior_box(), rng)
     _, g = grow_to(cfg, theta, rng, GrowthPlan(cfg.n_o))
-    n_star = min(cfg.n_star, g.node_count)
     start = time.perf_counter()
     for _ in range(reps):
         count_triangles(g)
     full = (time.perf_counter() - start) / reps
     start = time.perf_counter()
     for _ in range(reps):
-        induced_triangles(g, sample_nodes(g, n_star, rng))
+        induced_triangles(g, sample_nodes(g, cfg.n_star, rng))
     sub = (time.perf_counter() - start) / reps
     return full, sub
 
@@ -238,6 +237,10 @@ def timing_report(cfg, out_path, n_o_list=None, table_sizes=(10, 100),
         n_o_list = [cfg.n_o]
     for n_o in n_o_list:  # refuse a bad n_o before timing anything
         replace(cfg, n_o=n_o).validate()
+    if cfg.n_star > min(n_o_list):
+        raise ConfigError("n_star=%d exceeds n_o=%d, the network the "
+                          "subsampled summary is timed on"
+                          % (cfg.n_star, min(n_o_list)))
     reps = max(1, cfg.timing_reps)
     rows = []
     for n_o in n_o_list:

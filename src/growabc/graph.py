@@ -1,24 +1,32 @@
 """Growing graph with incremental edge bookkeeping and triangle counts.
 
 Node ids are dense integers assigned in insertion order; nodes are never
-removed. Triangles are counted on the undirected projection. A graph
-built with ``track_triangles=True`` keeps a running count: beside its
-neighbor sets it holds one Python ``int`` per node, a bitmask of the
-node's neighbors, and each mutation updates the count by popcounts of
-those masks (O(degree) integer operations on n-bit masks). The masks
-cost about n**2 / 8 bytes plus an int header per node: 44-50 KB at 500
-nodes and 3.0-3.5 MB at 5,000 on DMC graphs, against 0.5-1.5 MB and
-10-81 MB for the neighbor sets. Any other graph holds no masks, keeps
-no count and counts its triangles from scratch when asked
+removed. Each node's neighbours are a strictly ascending Python list of
+ids: 18-29 B per edge on DMC graphs of 500-5,000 nodes, against 124-167
+B as ``set``s. Growth only ever links a new node, which takes the
+largest id, so its mutations append and the lists stay sorted at no
+cost; the checked public mutations find their place by bisection.
+Triangles are counted on the undirected projection. A graph built with
+``track_triangles=True`` keeps a running count: beside its neighbour
+lists it holds one Python ``int`` per node, a bitmask of the node's
+neighbours, and each mutation updates the count by popcounts of those
+masks (O(degree) integer operations on n-bit masks). The masks cost
+about n**2 / 8 bytes plus an int header per node: 44-50 KB at 500 nodes
+and 3.0-3.5 MB at 5,000 on DMC graphs, against 0.09-0.24 MB and 1.5-11
+MB for the neighbour lists. Any other graph holds no masks, keeps no
+count and counts its triangles from scratch when asked
 (``count_triangles``, NumPy only: degree-ordered arcs intersected as bit
 rows over blocks of columns), so a graph whose count is read once, or
 never, pays nothing per mutation. Beside the checked public mutations,
 ``Graph.add_duplicate`` applies a whole DMC duplication in one pass and
 checks nothing, for its ids come from the graph itself; it serves
-undirected graphs only. The module imports no SciPy.
+undirected graphs only. ``Graph.from_edges`` builds a graph from an edge
+list in bulk. The module imports no SciPy.
 """
 
 import itertools
+import operator
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,28 +52,57 @@ class NodeSample:
 class Graph:
     """Mutable growing graph, undirected or directed.
 
-    The undirected projection is always maintained (``_adj``). With
-    ``track_triangles`` the graph also keeps a neighbor bitmask per node
-    (``_bits``, about n**2 / 8 bytes in all) and, from their popcounts, a
-    running triangle count of the projection; otherwise it holds neither,
-    and ``triangle_count`` counts from scratch on each read. Self-loops
-    are rejected; a directed graph never holds both u->v and v->u, and
-    besides the projection keeps only in-neighbor sets (``_in``): u's
-    out-neighbors are ``_adj[u] - _in[u]``, and each arc is one edge.
-    The public mutations check their ids; ``add_duplicate``, the DMC
-    step's mutation, trusts its caller to take them from the graph and
-    keeps no in-neighbor sets, so it serves undirected graphs only.
+    The undirected projection is always maintained (``_adj``, one
+    strictly ascending neighbour list per node). With ``track_triangles``
+    the graph also keeps a neighbour bitmask per node (``_bits``, about
+    n**2 / 8 bytes in all) and, from their popcounts, a running triangle
+    count of the projection; otherwise it holds neither, and
+    ``triangle_count`` counts from scratch on each read. Self-loops are
+    rejected; a directed graph never holds both u->v and v->u, and
+    besides the projection keeps only ascending in-neighbour lists
+    (``_in``): u's out-neighbours are ``_adj[u]`` less ``_in[u]``, and
+    each arc is one edge. The public mutations check their ids;
+    ``add_duplicate``, the DMC step's mutation, trusts its caller to take
+    them from the graph and keeps no in-neighbour lists, so it serves
+    undirected graphs only.
     """
 
     def __init__(self, directed=False, track_triangles=False):
         self.directed = bool(directed)
-        self._adj = []          # undirected projection neighbor sets
+        self._adj = []          # undirected projection neighbour lists
         self._in = [] if directed else None
         self._edge_count = 0    # projection edges
-        # running triangle count and projection neighbor bitmasks (bit w
+        # running triangle count and projection neighbour bitmasks (bit w
         # of _bits[u] set iff u-w is an edge); None when counted on demand
         self._triangle_count = 0 if track_triangles else None
         self._bits = [] if track_triangles else None
+
+    @classmethod
+    def from_edges(cls, n, edges, directed=False):
+        """Untracked graph on nodes ``0..n-1`` with ``edges``, pairs
+        (u, v) meaning u->v when directed, built in bulk: each list is
+        appended to and then sorted once. The ends of each pair must be
+        distinct ids below n, unchecked; an edge listed twice, in either
+        direction, raises ValueError.
+        """
+        g = cls(directed=directed)
+        adj = g._adj = [[] for _ in range(n)]
+        ins = g._in = [[] for _ in range(n)] if directed else None
+        # one int object per id, shared by every list that holds it,
+        # whatever objects the pairs hold
+        ids = list(range(n))
+        for u, v in edges:
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+            if directed:
+                ins[v].append(ids[u])
+        for a in itertools.chain(adj, ins or ()):
+            a.sort()
+        if any(any(map(operator.eq, a, itertools.islice(a, 1, None)))
+               for a in adj):
+            raise ValueError("an edge is listed twice")
+        g._edge_count = sum(map(len, adj)) // 2
+        return g
 
     @property
     def node_count(self):
@@ -94,11 +131,11 @@ class Graph:
             raise UnknownNode(u)
 
     def add_node(self):
-        self._adj.append(set())
+        self._adj.append([])
         if self._bits is not None:
             self._bits.append(0)
         if self.directed:
-            self._in.append(set())
+            self._in.append([])
         return len(self._adj) - 1
 
     def add_node_with_edges(self, neighbors):
@@ -106,30 +143,27 @@ class Graph:
 
         A running triangle count increases by the number of projection
         edges among the neighbors (each such edge closes one new
-        triangle); each is counted once, from the neighbor listed later,
-        as the popcount of its bitmask and the mask of the neighbors
-        before it. The ids are checked once per call, before anything
-        changes.
+        triangle); each is counted once, from its higher end, as the
+        popcount of its bitmask and the mask of the lower neighbors. The
+        ids are checked once per call, before anything changes.
         """
-        nbrs = list(neighbors)
-        nbset = set(nbrs)
-        if len(nbset) != len(nbrs):
+        nbrs = sorted(neighbors)
+        if len(set(nbrs)) != len(nbrs):
             raise ValueError("duplicate neighbor ids")
-        if nbset and (min(nbset) < 0 or max(nbset) >= len(self._adj)):
-            for w in nbrs:
-                self._check_node(w)
+        if nbrs and (nbrs[0] < 0 or nbrs[-1] >= len(self._adj)):
+            raise UnknownNode(nbrs[0] if nbrs[0] < 0 else nbrs[-1])
         adj = self._adj
         u = self.add_node()
-        adj[u].update(nbrs)
+        adj[u] = nbrs
         bits = self._bits
         if bits is None:
             for w in nbrs:
-                adj[w].add(u)
+                adj[w].append(u)
         else:
             bit = 1 << u
             mask = closed = 0
             for w in nbrs:
-                adj[w].add(u)
+                adj[w].append(u)
                 bw = bits[w]
                 closed += (bw & mask).bit_count()
                 bits[w] = bw | bit
@@ -138,7 +172,7 @@ class Graph:
             self._triangle_count += closed
         if self.directed:
             for w in nbrs:
-                self._in[w].add(u)
+                self._in[w].append(u)
         self._edge_count += len(nbrs)
         return u
 
@@ -147,28 +181,34 @@ class Graph:
         ``kept``; returns the new id. This is the one mutation of a DMC
         step, applied in a single pass.
 
-        The neighbor sets, bitmasks, running triangle count and edge
+        The neighbor lists, bitmasks, running triangle count and edge
         count end as after ``remove_edge(v, w)`` for each w in ``lost``,
         in order, followed by ``add_node_with_edges(kept)``. Nothing is
         checked: the graph must be undirected, each id in ``lost`` a
         distinct neighbor of v, and ``kept`` distinct ids of this graph
         (v among them or not), as the step takes them from the graph.
+        The caller's lists are neither kept nor changed.
         """
         adj = self._adj
         u = len(adj)
+        if lost:
+            gone = set(lost)
+            adj[v] = [w for w in adj[v] if w not in gone]
         bits = self._bits
         if bits is None:
             for w in lost:
-                adj[w].discard(v)
+                a = adj[w]
+                del a[bisect_left(a, v)]
             for w in kept:
-                adj[w].add(u)
+                adj[w].append(u)
         else:
             # each lost edge v-w takes the triangles v and w still share
             bv = bits[v]
             bit = 1 << v
             closed = 0
             for w in lost:
-                adj[w].discard(v)
+                a = adj[w]
+                del a[bisect_left(a, v)]
                 bv ^= 1 << w
                 bits[w] = bw = bits[w] ^ bit
                 closed -= (bv & bw).bit_count()
@@ -178,15 +218,14 @@ class Graph:
             bit = 1 << u
             mask = 0
             for w in kept:
-                adj[w].add(u)
+                adj[w].append(u)
                 bw = bits[w]
                 closed += (bw & mask).bit_count()
                 bits[w] = bw | bit
                 mask |= 1 << w
             bits.append(mask)
             self._triangle_count += closed
-        adj[v].difference_update(lost)
-        adj.append(set(kept))
+        adj.append(sorted(kept))
         self._edge_count += len(kept) - len(lost)
         return u
 
@@ -194,7 +233,7 @@ class Graph:
         """Edge presence in the undirected projection."""
         self._check_node(u)
         self._check_node(v)
-        return v in self._adj[u]
+        return _find(self._adj[u], v) >= 0
 
     def add_edge(self, u, v):
         """Add edge u-v (u->v when directed)."""
@@ -202,7 +241,8 @@ class Graph:
         self._check_node(v)
         if u == v:
             raise ValueError("self-loops are not allowed")
-        if v in self._adj[u]:
+        adj = self._adj
+        if _find(adj[u], v) >= 0:
             raise ValueError("edge (%d, %d) already present" % (u, v))
         bits = self._bits
         if bits is not None:
@@ -210,31 +250,38 @@ class Graph:
             self._triangle_count += (bu & bv).bit_count()
             bits[u] = bu | 1 << v
             bits[v] = bv | 1 << u
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        insort(adj[u], v)
+        insort(adj[v], u)
         self._edge_count += 1
         if self.directed:
-            self._in[v].add(u)
+            insort(self._in[v], u)
 
     def remove_edge(self, u, v):
         self._check_node(u)
         self._check_node(v)
-        if v not in self._adj[u]:
+        adj = self._adj
+        i = _find(adj[u], v)
+        if i < 0:
             raise MissingEdge((u, v))
         bits = self._bits
         if bits is not None:
             bits[u] = bu = bits[u] ^ 1 << v
             bits[v] = bv = bits[v] ^ 1 << u
             self._triangle_count -= (bu & bv).bit_count()
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        del adj[u][i]
+        del adj[v][bisect_left(adj[v], u)]
         self._edge_count -= 1
         if self.directed:
             # the arc is u->v or v->u; exactly one of these is present
-            self._in[v].discard(u)
-            self._in[u].discard(v)
+            i = _find(self._in[v], u)
+            if i >= 0:
+                del self._in[v][i]
+            else:
+                del self._in[u][bisect_left(self._in[u], v)]
 
     def neighbors(self, u):
+        """u's projection neighbours: the graph's own ascending list, to
+        be read, not changed."""
         self._check_node(u)
         return self._adj[u]
 
@@ -271,13 +318,13 @@ class Graph:
         ``track_triangles`` says so (by default, when this graph does),
         starting from this graph's count and bitmasks; a tracked copy of
         an untracked graph counts once from scratch and builds its
-        bitmasks from the neighbor sets."""
+        bitmasks from the neighbor lists."""
         if track_triangles is None:
             track_triangles = self.tracks_triangles
         g = Graph(directed=self.directed)
-        g._adj = [set(s) for s in self._adj]
+        g._adj = [a.copy() for a in self._adj]
         if self.directed:
-            g._in = [set(s) for s in self._in]
+            g._in = [a.copy() for a in self._in]
         g._edge_count = self._edge_count
         if track_triangles:
             g._triangle_count = self.triangle_count
@@ -289,14 +336,21 @@ class Graph:
         """Projection edges as sorted (u, v) pairs with u < v; for
         directed graphs the directed arcs (u, v) meaning u->v."""
         if self.directed:
-            for u in range(self.node_count):
-                for v in sorted(self._adj[u] - self._in[u]):
-                    yield (u, v)
-        else:
-            for u in range(self.node_count):
-                for v in sorted(self._adj[u]):
-                    if v > u:
+            for u, a in enumerate(self._adj):
+                ins = set(self._in[u])
+                for v in a:
+                    if v not in ins:
                         yield (u, v)
+        else:
+            for u, a in enumerate(self._adj):
+                for v in a[bisect_right(a, u):]:
+                    yield (u, v)
+
+
+def _find(a, x):
+    """Index of x in the ascending list a, or -1."""
+    i = bisect_left(a, x)
+    return i if i < len(a) and a[i] == x else -1
 
 
 def _mask(ids):
@@ -349,20 +403,21 @@ def sample_nodes(g, n_star, rng):
 def induced_triangles(g, sample):
     """Triangle count of the subgraph induced by ``sample``.
 
-    Cost proportional to the degrees of the sampled nodes; each triangle
-    is seen once per induced edge, hence the final division by three.
+    Cost proportional to the degrees of the sampled nodes: each is read
+    once, into the set of its sampled neighbours. Each triangle is seen
+    once per induced edge, hence the final division by three.
     """
     nodes = set(sample.node_ids)
     for u in nodes:
         g._check_node(u)
     if len(nodes) != sample.size:
         raise ValueError("sample ids do not match the declared size")
+    near = {u: nodes.intersection(g._adj[u]) for u in nodes}
     per_edge = 0
-    for u in nodes:
-        adj_u = g._adj[u]
-        for v in adj_u:
-            if v > u and v in nodes:
-                per_edge += len(adj_u & g._adj[v] & nodes)
+    for u, near_u in near.items():
+        for v in near_u:
+            if v > u:
+                per_edge += len(near_u & near[v])
     return per_edge // 3
 
 

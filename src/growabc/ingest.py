@@ -24,7 +24,9 @@ class ObservedNetwork:
 
 def read_edge_list(path, directed=False):
     """Parse an edge-list file into (Graph, node timestamps or None); a
-    bad line, self-loop or repeated edge raises EdgeListParseError."""
+    bad line, self-loop or repeated edge raises EdgeListParseError. The
+    graph is built in bulk once every line is read (``Graph.from_edges``);
+    a repeat is then traced to its line."""
     edges = []
     max_id = -1
     have_ts = None
@@ -51,19 +53,31 @@ def read_edge_list(path, directed=False):
                 raise EdgeListParseError(lineno, "self-loop %d %d" % (u, v))
             edges.append((lineno, u, v, ts))
             max_id = max(max_id, u, v)
-    g = Graph(directed=directed)
-    for _ in range(max_id + 1):
-        g.add_node()
-    node_ts = {} if have_ts else None
-    for lineno, u, v, ts in edges:
-        if g.has_edge(u, v):
-            raise EdgeListParseError(lineno,
-                                     "edge %d %d already present" % (u, v))
-        g.add_edge(u, v)
-        if have_ts:
+    try:
+        g = Graph.from_edges(max_id + 1, ((u, v) for _, u, v, _ in edges),
+                             directed=directed)
+    except ValueError:
+        _refuse_first_repeat(edges)
+        raise
+    node_ts = None
+    if have_ts:
+        node_ts = {}
+        for _, u, v, ts in edges:
             node_ts[u] = min(node_ts.get(u, ts), ts)
             node_ts[v] = min(node_ts.get(v, ts), ts)
     return g, node_ts
+
+
+def _refuse_first_repeat(edges):
+    """Raise EdgeListParseError at the first line whose edge, in either
+    direction, an earlier line already gave."""
+    seen = set()
+    for lineno, u, v, _ in edges:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise EdgeListParseError(lineno,
+                                     "edge %d %d already present" % (u, v))
+        seen.add(key)
 
 
 def seed_subgraph(g, node_ts, cutoff):
@@ -74,13 +88,9 @@ def seed_subgraph(g, node_ts, cutoff):
             "seed cutoff given but the file has no timestamp column")
     order = sorted(u for u, ts in node_ts.items() if ts <= cutoff)
     relabel = {old: new for new, old in enumerate(order)}
-    sub = Graph(directed=g.directed)
-    for _ in order:
-        sub.add_node()
-    for u, v in g.edges():
-        if u in relabel and v in relabel:
-            sub.add_edge(relabel[u], relabel[v])
-    return sub
+    return Graph.from_edges(
+        len(order), ((relabel[u], relabel[v]) for u, v in g.edges()
+                     if u in relabel and v in relabel), directed=g.directed)
 
 
 def ingest_observed(path, specs, seed_cutoff=None, directed=False, rng=None):

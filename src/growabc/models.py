@@ -92,7 +92,7 @@ def dmc_step(g, params, rng):
     if g.directed:
         raise PlanInvalid("DMC growth needs an undirected seed")
     v = int(rng.integers(g.node_count))
-    nbrs = sorted(g.neighbors(v))
+    nbrs = g.neighbors(v)  # ascending
     d = len(nbrs)
     q_m = params.q_m
     # a block holds no more than the rest of the step still needs: one
@@ -147,7 +147,7 @@ def price_step(g, params, rng):
     x = int(rng.binomial(params.out_cap, params.p))
     x = min(x, g.node_count)
     targets = preferential_sample(g.in_degrees(), params.k0, x, rng)
-    g.add_node_with_edges(sorted(targets))
+    g.add_node_with_edges(targets)
 
 
 def _grow(seed, step, plan, rng):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +269,119 @@ class TestAddDuplicate:
             assert_same_graph(fast, g)
         if tracked:
             assert_bitmasks_match(g)
+
+
+    @pytest.mark.parametrize("tracked", [True, False],
+                             ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("case", DUPLICATE_CASES)
+    def test_leaves_the_callers_lists_alone(self, case, tracked):
+        # DUPLICATE_CASES is shared by every parametrization: a change
+        # to its lists would corrupt the tests that run after this one
+        n, v, kept, lost = DUPLICATE_CASES[case]
+        before = (list(kept), list(lost))
+        g = complete_graph(n, track_triangles=tracked)
+        u = g.add_duplicate(v, kept, lost)
+        assert g.neighbors(u) is not kept and g.neighbors(v) is not lost
+        # appends to every list, the duplicate's among them
+        g.add_node_with_edges(range(g.node_count))
+        assert (kept, lost) == before
+
+
+def neighbour_bytes_per_edge(g):
+    """Bytes of the neighbour containers, the outer lists with them, per
+    projection edge."""
+    outer = [g._adj] + ([g._in] if g.directed else [])
+    size = sum(sys.getsizeof(a) + sum(map(sys.getsizeof, a)) for a in outer)
+    return size / g.edge_count
+
+
+def test_dmc_neighbour_lists_take_at_most_32_bytes_per_edge():
+    # 131 B per edge when the neighbours were sets
+    _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
+                    GrowthPlan(5000), np.random.default_rng(0),
+                    return_graph=True)
+    assert not g.tracks_triangles
+    assert g.edge_count == 217_794
+    assert neighbour_bytes_per_edge(g) <= 32
+
+
+def assert_adjacency_invariants(g, pairs, arcs):
+    """Lists strictly ascending, the projection symmetric and equal to
+    ``pairs`` (edges as (low, high) ids), ``has_edge`` and the
+    in-neighbour lists as the oracle says, and a running triangle count
+    exact."""
+    lists = g._adj + (g._in if g.directed else [])
+    for a in lists:
+        assert all(x < y for x, y in zip(a, a[1:])), a
+    held = {(u, w) for u, a in enumerate(g._adj) for w in a}
+    assert held == {(w, u) for u, w in held}
+    assert {(u, w) for u, w in held if u < w} == pairs
+    assert 2 * g.edge_count == sum(map(len, g._adj))
+    n = g.node_count
+    for u in range(n):
+        for w in range(n):
+            assert g.has_edge(u, w) == ((min(u, w), max(u, w)) in pairs)
+    if g.directed:
+        assert {(u, w) for w, a in enumerate(g._in) for u in a} == arcs
+    if g.tracks_triangles:
+        assert g.triangle_count == brute_force_triangles(g)
+
+
+class TestAdjacencyInvariants:
+    """Random sequences of every mutation and of copies, checked after
+    each step against a set-of-pairs oracle."""
+
+    @pytest.mark.parametrize("tracked", [True, False],
+                             ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    def test_random_operation_sequences(self, directed, tracked):
+        rng = np.random.default_rng(53 + 2 * directed + tracked)
+        g = Graph(directed=directed, track_triangles=tracked)
+        pairs, arcs = set(), set()
+        ops = ["add_node", "add_edge", "remove_edge", "add_node_with_edges",
+               "copy"] + ([] if directed else ["add_duplicate"])
+        for _ in range(200):
+            op = ops[rng.integers(len(ops))]
+            n = g.node_count
+            if op == "add_node" or n < 2:
+                g.add_node()
+            elif op == "add_edge":
+                u, w = (int(x) for x in rng.choice(n, size=2, replace=False))
+                if (min(u, w), max(u, w)) not in pairs:
+                    g.add_edge(u, w)
+                    pairs.add((min(u, w), max(u, w)))
+                    arcs.add((u, w))
+            elif op == "remove_edge" and pairs:
+                u, w = sorted(pairs)[rng.integers(len(pairs))]
+                g.remove_edge(*((w, u) if rng.random() < 0.5 else (u, w)))
+                pairs.remove((u, w))
+                arcs.discard((u, w))
+                arcs.discard((w, u))
+            elif op == "add_node_with_edges":
+                k = int(rng.integers(0, min(6, n) + 1))
+                nbrs = rng.choice(n, size=k, replace=False).tolist()
+                u = g.add_node_with_edges(nbrs)
+                pairs.update((w, u) for w in nbrs)
+                arcs.update((u, w) for w in nbrs)
+            elif op == "add_duplicate":
+                v = int(rng.integers(n))
+                kept, lost = [], []
+                for w in g.neighbors(v):
+                    r = rng.random()
+                    if r < 0.3:
+                        lost.append(w)
+                    elif r < 0.7:
+                        kept.append(w)
+                if rng.random() < 0.5:
+                    kept.append(v)
+                u = g.add_duplicate(v, kept, lost)
+                pairs.difference_update((min(v, w), max(v, w)) for w in lost)
+                pairs.update((w, u) for w in kept)
+            elif op == "copy":
+                track = [None, True, False][rng.integers(3)]
+                g = g.copy(track_triangles=track)
+            assert_adjacency_invariants(g, pairs, arcs)
 
 
 class TestSampleNodes:

@@ -40,7 +40,7 @@ from growabc.seeding import (
     mix_seed,
     observed_seed,
 )
-from growabc.graph import er_seed, write_edge_list
+from growabc.graph import Graph, er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
 from growabc.summaries import SummarySpec, evaluate
 from growabc.table import (
@@ -289,6 +289,63 @@ class TestIngest:
         with pytest.raises(EdgeListParseError) as err:
             read_edge_list(str(path), directed=directed)
         assert err.value.line_number == line
+
+    @staticmethod
+    def _hub_arcs(directed):
+        """A star on node 0, a second hub at node 7 and random edges,
+        shuffled, each with a random orientation."""
+        rng = np.random.default_rng(29 + directed)
+        n = 400
+        pairs = {(0, w) for w in range(1, n)}
+        pairs.update((7, w) for w in range(8, n, 2))
+        while len(pairs) < 1600:
+            u, w = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            pairs.add((u, w))
+        arcs = [(w, u) if rng.random() < 0.5 else (u, w)
+                for u, w in sorted(pairs)]
+        return [arcs[i] for i in rng.permutation(len(arcs))]
+
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    def test_bulk_build_matches_add_edge(self, tmp_path, directed):
+        arcs = self._hub_arcs(directed)
+        path = tmp_path / "hubs.edges"
+        path.write_text("".join("%d %d\n" % a for a in arcs))
+        g, _ = read_edge_list(str(path), directed=directed)
+        ref = Graph(directed=directed)
+        for _ in range(400):
+            ref.add_node()
+        for u, v in arcs:
+            ref.add_edge(u, v)
+        assert g._adj == ref._adj and g._in == ref._in
+        assert (g.node_count, g.edge_count) == (400, 1600)
+        assert list(g.edges()) == list(ref.edges())
+        assert g.in_degrees() == ref.in_degrees()
+        assert g.triangle_count == ref.triangle_count
+        # one int object per id, not one per parsed field
+        lists = g._adj + (g._in if directed else [])
+        assert len({id(w) for a in lists for w in a}) <= g.node_count
+
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    def test_planted_repeat_is_reported_at_its_line(self, tmp_path,
+                                                    directed):
+        arcs = self._hub_arcs(directed)
+        # line 901 gives line 3's pair reversed (in directed mode the
+        # other arc of the pair), line 1201 repeats line 10 as it is
+        lines = arcs[:900] + [arcs[2][::-1]] + arcs[900:1199] + [arcs[9]]
+        lines += arcs[1199:]
+        path = tmp_path / "hubs.edges"
+        path.write_text("".join("%d %d\n" % a for a in lines))
+        with pytest.raises(EdgeListParseError) as err:
+            read_edge_list(str(path), directed=directed)
+        assert err.value.line_number == 901
+        # without the first, the second repeat moves up to line 1200
+        path.write_text("".join("%d %d\n" % a for a in lines[:900]
+                                + lines[901:]))
+        with pytest.raises(EdgeListParseError) as err:
+            read_edge_list(str(path), directed=directed)
+        assert err.value.line_number == 1200
 
     def test_round_trip(self, tmp_path):
         g = er_seed(12, 0.3, 2)
@@ -590,7 +647,7 @@ class TestUntrackedGraphs:
 
 class TestTiming:
     def test_report_schema(self, tmp_path):
-        cfg = small_cfg()
+        cfg = small_cfg(n_star=40)
         path = str(tmp_path / "timing.csv")
         timing_report(cfg, path, n_o_list=[80], table_sizes=(2,))
         with open(path) as fh:
@@ -612,6 +669,25 @@ class TestTiming:
         path = str(tmp_path / "timing.csv")
         with pytest.raises(ConfigError, match="n_s must be <= n_o"):
             timing_report(small_cfg(), path, n_o_list=[80, 40])
+        assert not os.path.exists(path)
+
+    def test_n_star_above_n_o_is_refused_before_timing(self, tmp_path,
+                                                       monkeypatch):
+        # the default n_star=100 used to be clamped to the 80-node
+        # network, so the subsampled row timed another sample size
+        def timed(*args):
+            raise AssertionError("timed before n_star was checked")
+
+        monkeypatch.setattr(experiment, "_time_entry_build", timed)
+        monkeypatch.setattr(experiment, "_time_observed_summary", timed)
+        cfg = RunConfig(n_s=60, n_o=80, timing_reps=1)
+        assert cfg.n_star == 100
+        path = str(tmp_path / "timing.csv")
+        with pytest.raises(ConfigError, match="n_star=100 exceeds n_o=80"):
+            timing_report(cfg, path)
+        with pytest.raises(ConfigError, match="n_star=90 exceeds n_o=80"):
+            timing_report(RunConfig(n_s=60, n_o=80, n_star=90), path,
+                          n_o_list=[200, 80])
         assert not os.path.exists(path)
 
 
@@ -666,8 +742,18 @@ class TestCli:
         assert cli.main(["experiment", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "experiment_stats.json"))
         assert cli.main(["timing", "--config", cfg, "--out", out,
-                         "--n-o-list", "80", "--table-sizes", "2"]) == 0
+                         "--n-o-list", "80", "--table-sizes", "2",
+                         "--set", "n_star=40"]) == 0
         assert os.path.exists(os.path.join(out, "timing.csv"))
+
+    def test_timing_n_star_above_n_o_exit_code(self, tmp_path, capsys):
+        cfg = self._cfg_file(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["timing", "--config", cfg, "--out", out,
+                         "--n-o-list", "80", "--table-sizes", "2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ConfigError: n_star=100 exceeds n_o=80")
+        assert not os.path.exists(os.path.join(out, "timing.csv"))
 
     def test_timing_n_o_below_n_s_exit_code(self, tmp_path, capsys):
         cfg = self._cfg_file(tmp_path)
