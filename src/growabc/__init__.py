@@ -3,7 +3,7 @@ subsampled summary statistics."""
 
 from .curvefit import CurveExtrapolator, LsFit, extrapolate, fit_series
 from .gp import GpExtrapolator, KernelSpec, fit_map, kernel_value, predict
-from .graph import Graph, NodeSample, er_seed, induced_triangles, sample_nodes
+from .graph import Graph, er_seed, induced_triangles, sample_nodes
 from .models import (
     DmcParams,
     GrowthPlan,
@@ -39,7 +39,6 @@ __all__ = [
     "GrowthPlan",
     "KernelSpec",
     "LsFit",
-    "NodeSample",
     "PriceParams",
     "PriorBox",
     "ReferenceTable",

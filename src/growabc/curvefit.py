@@ -266,14 +266,16 @@ def fit_series(n, s, family):
     if distinct < n_params:
         raise TooFewPoints("%d distinct points < %d parameters"
                            % (distinct, n_params))
-    if np.all(s == 0.0):
-        params = (0.0, 1.0) if n_params == 2 else (0.0, 1.0, 0.0)
-        return LsFit(FunctionalForm(family, params), 0.0, True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # closed form, so before the all-zero shortcut: on zeros it gives
+        # a = c = 0, where the shortcut's (0, 1) would extrapolate to 1
         if family == "inverse":
             x, sse = _solve("power_offset", n, s, np.array([-1.0]))
             return LsFit(FunctionalForm(family, (float(x[0]), float(x[2]))),
                          sse, True)
+        if np.all(s == 0.0):
+            params = (0.0, 1.0) if n_params == 2 else (0.0, 1.0, 0.0)
+            return LsFit(FunctionalForm(family, params), 0.0, True)
         fits = [_polish(n, s, family, theta)
                 for theta in _scan_starts(n, s, family)]
     return min(fits, key=lambda fit: (not fit.converged, fit.residual_sse),

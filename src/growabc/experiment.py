@@ -198,15 +198,26 @@ def abc_run(cfg, table_path, out_dir, observed=None, workers=None):
 def _time_entry_build(cfgs, reps):
     """Mean seconds per entry build for each config in ``cfgs``. Entries
     1..reps are built in turn for every config, the first config
-    rotating, so a drift in the host's speed hits all configs alike."""
+    rotating, so a drift in the host's speed hits all configs alike.
+    As in ``timeit``, the garbage collector is off while a build is
+    timed: a full collection of a large caller's heap (tens of ms) would
+    otherwise land in whichever build its allocations happen to fall."""
+    import gc
+
     from .table import _build_entry
 
     totals = [0.0] * len(cfgs)
-    for b in range(1, reps + 1):
-        for i in np.roll(np.arange(len(cfgs)), b):
-            start = time.perf_counter()
-            _build_entry((cfgs[i], b))
-            totals[i] += time.perf_counter() - start
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for b in range(1, reps + 1):
+            for i in np.roll(np.arange(len(cfgs)), b):
+                start = time.perf_counter()
+                _build_entry((cfgs[i], b))
+                totals[i] += time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
     return [total / reps for total in totals]
 
 

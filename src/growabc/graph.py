@@ -2,22 +2,21 @@
 
 Node ids are dense integers assigned in insertion order; nodes are never
 removed. Each node's neighbours are a strictly ascending Python list of
-ids: 18-29 B per edge on DMC graphs of 500-5,000 nodes, against 124-167
-B as ``set``s. Growth only ever links a new node, which takes the
-largest id, so its mutations append and the lists stay sorted at no
-cost; the checked public mutations find their place by bisection.
+ids, 18-29 B per edge on DMC graphs of 500-5,000 nodes. Growth only
+ever links a new node, which takes the largest id, so every growth
+mutation ends in one append (``Graph._append``) that adds the new id at
+the end of each neighbour's list, and the lists stay sorted at no cost;
+the checked public mutations find their place by bisection.
 Triangles are counted on the undirected projection. A graph built with
 ``track_triangles=True`` keeps a running count: beside its neighbour
 lists it holds one Python ``int`` per node, a bitmask of the node's
 neighbours, and each mutation updates the count by popcounts of those
-masks (O(degree) integer operations on n-bit masks). The masks cost
-about n**2 / 8 bytes plus an int header per node: 44-50 KB at 500 nodes
-and 3.0-3.5 MB at 5,000 on DMC graphs, against 0.09-0.24 MB and 1.5-11
-MB for the neighbour lists. Any other graph holds no masks, keeps no
-count and counts its triangles from scratch when asked
-(``count_triangles``, NumPy only: degree-ordered arcs intersected as bit
-rows over blocks of columns), so a graph whose count is read once, or
-never, pays nothing per mutation. Beside the checked public mutations,
+masks (O(degree) integer operations on n-bit masks, about n**2 / 8
+bytes of masks in all). Any other graph holds no masks, keeps no count
+and counts its triangles from scratch when asked (``count_triangles``,
+NumPy only: degree-ordered arcs intersected as bit rows over blocks of
+columns), so a graph whose count is read once, or never, pays nothing
+per mutation. Beside the checked public mutations,
 ``Graph.add_duplicate`` applies a whole DMC duplication in one pass and
 checks nothing, for its ids come from the graph itself; it serves
 undirected graphs only. ``Graph.from_edges`` builds a graph from an edge
@@ -28,7 +27,6 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +37,6 @@ from .errors import (
     SampleTooLarge,
     UnknownNode,
 )
-
-
-@dataclass(frozen=True)
-class NodeSample:
-    """A without-replacement subset of node ids."""
-
-    node_ids: frozenset
-    size: int
 
 
 class Graph:
@@ -63,8 +53,9 @@ class Graph:
     (``_in``): u's out-neighbours are ``_adj[u]`` less ``_in[u]``, and
     each arc is one edge. The public mutations check their ids;
     ``add_duplicate``, the DMC step's mutation, trusts its caller to take
-    them from the graph and keeps no in-neighbour lists, so it serves
-    undirected graphs only.
+    them from the graph and drops edges from the projection only, so it
+    serves undirected graphs only. Every added node goes through
+    ``_append``.
     """
 
     def __init__(self, directed=False, track_triangles=False):
@@ -130,31 +121,20 @@ class Graph:
         if not 0 <= u < len(self._adj):
             raise UnknownNode(u)
 
-    def add_node(self):
-        self._adj.append([])
-        if self._bits is not None:
-            self._bits.append(0)
-        if self.directed:
-            self._in.append([])
-        return len(self._adj) - 1
+    def _append(self, nbrs):
+        """Add a node adjacent to ``nbrs``; returns the new id. Nothing
+        is checked: ``nbrs`` must hold distinct ids of this graph in
+        ascending order, and becomes the new node's own list.
 
-    def add_node_with_edges(self, neighbors):
-        """Add a node connected to ``neighbors``; returns the new id.
-
-        A running triangle count increases by the number of projection
-        edges among the neighbors (each such edge closes one new
-        triangle); each is counted once, from its higher end, as the
-        popcount of its bitmask and the mask of the lower neighbors. The
-        ids are checked once per call, before anything changes.
+        Each neighbor's list, and a directed graph's in-neighbor lists,
+        gain the new id at the end. A running triangle count increases
+        by the number of projection edges among the neighbors (each such
+        edge closes one new triangle); each is counted once, from its
+        higher end, as the popcount of its bitmask and the mask of the
+        lower neighbors.
         """
-        nbrs = sorted(neighbors)
-        if len(set(nbrs)) != len(nbrs):
-            raise ValueError("duplicate neighbor ids")
-        if nbrs and (nbrs[0] < 0 or nbrs[-1] >= len(self._adj)):
-            raise UnknownNode(nbrs[0] if nbrs[0] < 0 else nbrs[-1])
         adj = self._adj
-        u = self.add_node()
-        adj[u] = nbrs
+        u = len(adj)
         bits = self._bits
         if bits is None:
             for w in nbrs:
@@ -168,13 +148,29 @@ class Graph:
                 closed += (bw & mask).bit_count()
                 bits[w] = bw | bit
                 mask |= 1 << w
-            bits[u] = mask
+            bits.append(mask)
             self._triangle_count += closed
+        adj.append(nbrs)
         if self.directed:
+            ins = self._in
             for w in nbrs:
-                self._in[w].append(u)
+                ins[w].append(u)
+            ins.append([])
         self._edge_count += len(nbrs)
         return u
+
+    def add_node(self):
+        return self._append([])
+
+    def add_node_with_edges(self, neighbors):
+        """Add a node connected to ``neighbors``; returns the new id. The
+        ids are checked once per call, before anything changes."""
+        nbrs = sorted(neighbors)
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError("duplicate neighbor ids")
+        if nbrs and (nbrs[0] < 0 or nbrs[-1] >= len(self._adj)):
+            raise UnknownNode(nbrs[0] if nbrs[0] < 0 else nbrs[-1])
+        return self._append(nbrs)
 
     def add_duplicate(self, v, kept, lost):
         """Drop v's edges to ``lost``, then add a node adjacent to
@@ -189,45 +185,30 @@ class Graph:
         (v among them or not), as the step takes them from the graph.
         The caller's lists are neither kept nor changed.
         """
-        adj = self._adj
-        u = len(adj)
         if lost:
+            adj = self._adj
             gone = set(lost)
             adj[v] = [w for w in adj[v] if w not in gone]
-        bits = self._bits
-        if bits is None:
-            for w in lost:
-                a = adj[w]
-                del a[bisect_left(a, v)]
-            for w in kept:
-                adj[w].append(u)
-        else:
-            # each lost edge v-w takes the triangles v and w still share
-            bv = bits[v]
-            bit = 1 << v
-            closed = 0
-            for w in lost:
-                a = adj[w]
-                del a[bisect_left(a, v)]
-                bv ^= 1 << w
-                bits[w] = bw = bits[w] ^ bit
-                closed -= (bv & bw).bit_count()
-            bits[v] = bv
-            # as in add_node_with_edges: each edge among the kept ids
-            # closes one triangle, counted from the id listed later
-            bit = 1 << u
-            mask = 0
-            for w in kept:
-                adj[w].append(u)
-                bw = bits[w]
-                closed += (bw & mask).bit_count()
-                bits[w] = bw | bit
-                mask |= 1 << w
-            bits.append(mask)
-            self._triangle_count += closed
-        adj.append(sorted(kept))
-        self._edge_count += len(kept) - len(lost)
-        return u
+            bits = self._bits
+            if bits is None:
+                for w in lost:
+                    a = adj[w]
+                    del a[bisect_left(a, v)]
+            else:
+                # each lost edge v-w takes the triangles v and w still share
+                bv = bits[v]
+                bit = 1 << v
+                closed = 0
+                for w in lost:
+                    a = adj[w]
+                    del a[bisect_left(a, v)]
+                    bv ^= 1 << w
+                    bits[w] = bw = bits[w] ^ bit
+                    closed -= (bv & bw).bit_count()
+                bits[v] = bv
+                self._triangle_count += closed
+            self._edge_count -= len(lost)
+        return self._append(sorted(kept))
 
     def has_edge(self, u, v):
         """Edge presence in the undirected projection."""
@@ -392,26 +373,27 @@ def er_seed(n_seed, p, rng_seed, max_retries=10_000, directed=False):
 
 
 def sample_nodes(g, n_star, rng):
-    """Uniform node sample without replacement."""
+    """Uniform node sample without replacement: a list of distinct ids,
+    Python ints, in the order drawn."""
     if not 1 <= n_star <= g.node_count:
         raise SampleTooLarge(
             "n_star=%d outside [1, %d]" % (n_star, g.node_count))
-    ids = rng.choice(g.node_count, size=n_star, replace=False)
-    return NodeSample(node_ids=frozenset(int(i) for i in ids), size=n_star)
+    return rng.choice(g.node_count, size=n_star, replace=False).tolist()
 
 
-def induced_triangles(g, sample):
-    """Triangle count of the subgraph induced by ``sample``.
+def induced_triangles(g, ids):
+    """Triangle count of the subgraph induced by the node ids ``ids``,
+    each a distinct id of ``g``; a repeated id raises ValueError.
 
     Cost proportional to the degrees of the sampled nodes: each is read
     once, into the set of its sampled neighbours. Each triangle is seen
     once per induced edge, hence the final division by three.
     """
-    nodes = set(sample.node_ids)
+    nodes = set(ids)
     for u in nodes:
         g._check_node(u)
-    if len(nodes) != sample.size:
-        raise ValueError("sample ids do not match the declared size")
+    if len(nodes) != len(ids):
+        raise ValueError("repeated sample id")
     near = {u: nodes.intersection(g._adj[u]) for u in nodes}
     per_edge = 0
     for u, near_u in near.items():

@@ -6,6 +6,7 @@ timestamp cutoff designates the early nodes as the seed subgraph for
 model growth.
 """
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,13 +23,10 @@ class ObservedNetwork:
     seed_graph: Optional[Graph] = None
 
 
-def read_edge_list(path, directed=False):
-    """Parse an edge-list file into (Graph, node timestamps or None); a
-    bad line, self-loop or repeated edge raises EdgeListParseError. The
-    graph is built in bulk once every line is read (``Graph.from_edges``);
-    a repeat is then traced to its line."""
-    edges = []
-    max_id = -1
+def _edge_lines(path):
+    """Yield ``(lineno, u, v, ts)`` for each edge line of an edge-list
+    file, ``ts`` None without a timestamp column; a bad line or
+    self-loop raises EdgeListParseError."""
     have_ts = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -51,28 +49,45 @@ def read_edge_list(path, directed=False):
                 raise EdgeListParseError(lineno, "inconsistent timestamps")
             if u == v:
                 raise EdgeListParseError(lineno, "self-loop %d %d" % (u, v))
-            edges.append((lineno, u, v, ts))
-            max_id = max(max_id, u, v)
+            yield lineno, u, v, ts
+
+
+def read_edge_list(path, directed=False):
+    """Parse an edge-list file into (Graph, node timestamps or None); a
+    bad line, self-loop or repeated edge raises EdgeListParseError. The
+    columns are read into 64-bit integer arrays (a field beyond that
+    range is refused) and the graph is built from them in bulk
+    (``Graph.from_edges``); a repeat is then traced to its line by
+    parsing the file again."""
+    us, vs, tss = array("q"), array("q"), array("q")
+    for lineno, u, v, ts in _edge_lines(path):
+        try:
+            us.append(u)
+            vs.append(v)
+            if ts is not None:
+                tss.append(ts)
+        except OverflowError:
+            raise EdgeListParseError(lineno, "integer field out of range")
+    n = max(max(us, default=-1), max(vs, default=-1)) + 1
     try:
-        g = Graph.from_edges(max_id + 1, ((u, v) for _, u, v, _ in edges),
-                             directed=directed)
+        g = Graph.from_edges(n, zip(us, vs), directed=directed)
     except ValueError:
-        _refuse_first_repeat(edges)
+        _refuse_first_repeat(path)
         raise
     node_ts = None
-    if have_ts:
+    if tss:
         node_ts = {}
-        for _, u, v, ts in edges:
+        for u, v, ts in zip(us, vs, tss):
             node_ts[u] = min(node_ts.get(u, ts), ts)
             node_ts[v] = min(node_ts.get(v, ts), ts)
     return g, node_ts
 
 
-def _refuse_first_repeat(edges):
+def _refuse_first_repeat(path):
     """Raise EdgeListParseError at the first line whose edge, in either
     direction, an earlier line already gave."""
     seen = set()
-    for lineno, u, v, _ in edges:
+    for lineno, u, v, _ in _edge_lines(path):
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise EdgeListParseError(lineno,

@@ -150,15 +150,16 @@ def price_step(g, params, rng):
     g.add_node_with_edges(targets)
 
 
-def _grow(seed, step, plan, rng):
-    """Grow a copy of ``seed``; the copy keeps a running triangle count
-    only when the plan reads one at its checkpoints."""
+def _grow(seed, step, params, plan, rng):
+    """Grow a copy of ``seed`` by ``step(g, params, rng)``, one node per
+    call; returns (TrackedSeries, grown graph). The copy keeps a running
+    triangle count only when the plan reads one at its checkpoints."""
     plan.validate(seed.node_count)
     g = seed.copy(track_triangles=plan.tracks_triangles)
     cps = set(plan.checkpoints)
     rows = []
     for n in range(g.node_count + 1, plan.n_target + 1):
-        step(g, rng)  # adds node n - 1, so the graph holds n nodes
+        step(g, params, rng)  # adds node n - 1, so the graph holds n nodes
         if n in cps:
             rows.append([evaluate(spec, g, rng) for spec in plan.summaries])
     values = np.asarray(rows, dtype=float)
@@ -171,22 +172,22 @@ def _grow(seed, step, plan, rng):
     ), g
 
 
-def grow_dmc(seed, params, plan, rng, return_graph=False):
+def grow_dmc(seed, params, plan, rng):
     """Grow an undirected seed with the DMC model, tracking summaries
-    at the plan's checkpoints. Deterministic given the rng stream."""
+    at the plan's checkpoints; returns (TrackedSeries, grown graph).
+    Deterministic given the rng stream."""
     if seed.directed:
         raise PlanInvalid("DMC growth needs an undirected seed")
-    series, g = _grow(seed, lambda g_, r: dmc_step(g_, params, r), plan, rng)
-    return (series, g) if return_graph else series
+    return _grow(seed, dmc_step, params, plan, rng)
 
 
-def grow_price(seed, params, plan, rng, return_graph=False):
+def grow_price(seed, params, plan, rng):
     """Grow a directed seed with the Price model; new edges point from
-    the new node to existing nodes, never duplicated."""
+    the new node to existing nodes, never duplicated. Returns
+    (TrackedSeries, grown graph)."""
     if not seed.directed:
         raise PlanInvalid("Price growth needs a directed seed")
-    series, g = _grow(seed, lambda g_, r: price_step(g_, params, r), plan, rng)
-    return (series, g) if return_graph else series
+    return _grow(seed, price_step, params, plan, rng)
 
 
 def directed_seed(n_seed, p, rng_seed):

@@ -77,8 +77,7 @@ def grow_to(cfg, theta, rng, plan):
     """Grow the configured model from its seed graph by ``plan``, a
     GrowthPlan; returns (TrackedSeries, final graph)."""
     grow = grow_dmc if cfg.model == "dmc" else grow_price
-    return grow(build_seed_graph(cfg), cfg.growth_params(theta), plan, rng,
-                return_graph=True)
+    return grow(build_seed_graph(cfg), cfg.growth_params(theta), plan, rng)
 
 
 def simulate_observed(cfg, theta, rng):

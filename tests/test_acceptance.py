@@ -200,7 +200,7 @@ def test_criterion_5_replicate_variance_ratios():
     t0 = time.perf_counter()
     seed = er_seed(30, 0.2, 1)
     _, g = grow_dmc(seed, DmcParams(0.5, 0.25), GrowthPlan(1000, (), ()),
-                    np.random.default_rng(11), return_graph=True)
+                    np.random.default_rng(11))
     ratios = {}
     for k in (10, 20):
         var_single, var_avg = replicate_variance_reduction(

@@ -21,10 +21,12 @@ from growabc.table import (
     build_reference_table,
     grow_to,
     load_reference_table,
+    simulate_observed,
 )
 
 GRID = np.arange(35, 501, 5, dtype=float)
 POWER_FAMILIES = ("power", "power_offset")
+FAMILIES = POWER_FAMILIES + ("inverse", "digamma")
 
 
 def tracked_series(cfg, entry_id):
@@ -125,6 +127,13 @@ class TestFit:
     def test_all_zero_series(self):
         fit = fit_series(GRID, np.zeros_like(GRID), "power")
         assert fit.converged
+        assert extrapolate(fit, 10_000) == 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_zero_series_extrapolates_to_zero(self, family):
+        # inverse used to take the shortcut's (0, 1): a / n + c = 1
+        fit = fit_series(GRID, np.zeros_like(GRID), family)
+        assert fit.converged and fit.residual_sse == 0.0
         assert extrapolate(fit, 10_000) == 0.0
 
     def test_too_few_points(self):
@@ -281,6 +290,30 @@ class TestFoundSampledTriangleFits:
                 fit = fits["sample_triangle_count"]
                 assert fit.form.family == "power_offset"
                 assert fit.residual_sse <= FOUND_SSE_BOUNDS[b]
+
+
+class TestFoundArclessPriceInverse:
+    """p = 0: the Price graph never gains an arc, so every tracked
+    in-degree mean is 0 and so is the value at n_o; the inverse fit
+    used to extrapolate the all-zero series to 1."""
+
+    CFG = RunConfig(model="price", summaries="in_degree_mean,"
+                    "in_degree_variance", seed_n=1, prior_low=(0.5, 0.0),
+                    prior_high=(5.0, 0.0), n_s=100, n_o=200,
+                    checkpoint_start=40, truths="2.5:0.0", table_size=4,
+                    accept_k=2, exp_replicates=1)
+
+    def test_entries_extrapolate_to_zero(self, tmp_path):
+        cfg = self.CFG
+        path = str(tmp_path / "t.csv")
+        build_reference_table(cfg, path)
+        entries, failed, header = load_reference_table(path)
+        assert failed == 0 and len(entries) == 4
+        at = [c for c in header if c.startswith("ext_")].index(
+            "ext_in_degree_mean")
+        assert [e.ext_summaries[at] for e in entries] == [0.0] * 4
+        rng = np.random.default_rng(0)
+        assert simulate_observed(cfg, (2.5, 0.0), rng)[0] == 0.0
 
 
 # The price_ls benchmark config: the digamma fits of in_degree_variance.

@@ -17,7 +17,6 @@ from growabc.errors import (
 )
 from growabc.graph import (
     Graph,
-    NodeSample,
     count_triangles,
     er_seed,
     induced_triangles,
@@ -298,8 +297,7 @@ def neighbour_bytes_per_edge(g):
 def test_dmc_neighbour_lists_take_at_most_32_bytes_per_edge():
     # 131 B per edge when the neighbours were sets
     _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
-                    GrowthPlan(5000), np.random.default_rng(0),
-                    return_graph=True)
+                    GrowthPlan(5000), np.random.default_rng(0))
     assert not g.tracks_triangles
     assert g.edge_count == 217_794
     assert neighbour_bytes_per_edge(g) <= 32
@@ -388,7 +386,14 @@ class TestSampleNodes:
     def test_full_sample(self):
         g = complete_graph(5)
         s = sample_nodes(g, 5, np.random.default_rng(0))
-        assert s.node_ids == frozenset(range(5))
+        assert sorted(s) == list(range(5))
+
+    def test_python_int_ids(self):
+        # plain ints: np.int64 ids would slow the per-node set
+        # intersections of induced_triangles
+        s = sample_nodes(complete_graph(30), 12, np.random.default_rng(1))
+        assert isinstance(s, list) and len(set(s)) == 12
+        assert all(type(i) is int for i in s)
 
     def test_zero_too_small(self):
         g = complete_graph(5)
@@ -407,7 +412,7 @@ class TestSampleNodes:
         draws = 100_000
         counts = np.zeros(20)
         for _ in range(draws):
-            (i,) = sample_nodes(g, 1, rng).node_ids
+            (i,) = sample_nodes(g, 1, rng)
             counts[i] += 1
         expected = draws / 20
         sigma = np.sqrt(draws * (1 / 20) * (19 / 20))
@@ -422,14 +427,22 @@ class TestInducedTriangles:
 
     def test_pair_sample(self):
         g = complete_graph(4)
-        s = NodeSample(node_ids=frozenset({0, 1}), size=2)
-        assert induced_triangles(g, s) == 0
+        assert induced_triangles(g, [0, 1]) == 0
+
+    def test_repeated_id_refused(self):
+        g = complete_graph(4)
+        with pytest.raises(ValueError, match="repeated"):
+            induced_triangles(g, [0, 1, 2, 1])
+
+    def test_unknown_id_refused(self):
+        with pytest.raises(UnknownNode):
+            induced_triangles(complete_graph(4), [0, 4])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         g = random_graph(30, 0.3, rng)
         s = sample_nodes(g, 12, rng)
-        nodes = sorted(s.node_ids)
+        nodes = sorted(s)
         expected = sum(
             1 for a, b, c in itertools.combinations(nodes, 3)
             if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
@@ -543,14 +556,13 @@ def _star(leaves):
 
 def _dmc_graph(q_m, q_c, n=1000):
     _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(q_m, q_c), GrowthPlan(n),
-                    np.random.default_rng(0), return_graph=True)
+                    np.random.default_rng(0))
     return g
 
 
 def _price_graph():
     _, g = grow_price(directed_seed(30, 0.2, 1), PriceParams(2.5, 0.005),
-                      GrowthPlan(600), np.random.default_rng(0),
-                      return_graph=True)
+                      GrowthPlan(600), np.random.default_rng(0))
     return g
 
 
@@ -602,15 +614,13 @@ def _sparse_random(n, avg_degree, seed, isolated=0.0):
 
 def _dmc_3000():
     _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
-                    GrowthPlan(3000), np.random.default_rng(2),
-                    return_graph=True)
+                    GrowthPlan(3000), np.random.default_rng(2))
     return g
 
 
 def _price_3000():
     _, g = grow_price(directed_seed(30, 0.2, 1), PriceParams(1.0, 0.01),
-                      GrowthPlan(3000), np.random.default_rng(3),
-                      return_graph=True)
+                      GrowthPlan(3000), np.random.default_rng(3))
     return g
 
 
@@ -808,7 +818,7 @@ class TestBitmasks:
         assert Graph()._bits is None
         assert Graph(directed=True)._bits is None
         _, grown = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
-                            GrowthPlan(200), rng, return_graph=True)
+                            GrowthPlan(200), rng)
         assert grown._bits is None
         assert_bitmasks_match(tracked)  # the source keeps its own
 

@@ -385,6 +385,17 @@ class TestIngest:
             ingest_observed(str(path), (SummarySpec("avg_degree"),),
                             seed_cutoff=5)
 
+    @pytest.mark.parametrize("text", ["0 1\n%d 2\n" % 2 ** 63,
+                                      "0 1 5\n1 2 %d\n" % -2 ** 64],
+                             ids=["node_id", "timestamp"])
+    def test_field_beyond_64_bits_line_number(self, tmp_path, text):
+        # the columns are 64-bit integer arrays
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match="out of range") as err:
+            read_edge_list(str(path))
+        assert err.value.line_number == 2
+
 
 class TestAbcRun:
     def test_outputs(self, tmp_path):

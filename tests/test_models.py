@@ -102,8 +102,7 @@ class TestDmcStream:
     def test_golden_graph(self):
         # pinned from the one-call-per-draw step
         _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
-                        GrowthPlan(1000), np.random.default_rng(0),
-                        return_graph=True)
+                        GrowthPlan(1000), np.random.default_rng(0))
         assert g.edge_count == 18_522
         assert g.triangle_count == 58_002
         text = "".join("%d %d\n" % e for e in g.edges())
@@ -143,7 +142,7 @@ class TestTriangleTracking:
             None: GrowthPlan(300),
         }
         grown = {key: grow_dmc(seed, DmcParams(*theta), plan,
-                               np.random.default_rng(4), return_graph=True)
+                               np.random.default_rng(4))
                  for key, plan in plans.items()}
         series, tracked = grown[True]
         for key, (_, g) in grown.items():
@@ -182,25 +181,25 @@ class TestGrowDmc:
     def test_single_checkpoint(self):
         seed = er_seed(30, 0.2, 7)
         plan = GrowthPlan(35, (35,), TRACK_BOTH)
-        series = grow_dmc(seed, DmcParams(0.3, 0.5), plan,
-                          np.random.default_rng(0))
+        series, _ = grow_dmc(seed, DmcParams(0.3, 0.5), plan,
+                             np.random.default_rng(0))
         assert series.checkpoints == (35,)
         assert series.values.shape == (1, 2)
 
     def test_full_grid_row_count(self):
         seed = er_seed(30, 0.2, 7)
         plan = GrowthPlan(500, tuple(range(35, 501, 5)), TRACK_BOTH)
-        series = grow_dmc(seed, DmcParams(0.3, 0.5), plan,
-                          np.random.default_rng(0))
+        series, _ = grow_dmc(seed, DmcParams(0.3, 0.5), plan,
+                             np.random.default_rng(0))
         assert series.values.shape == (94, 2)
 
     def test_reproducible(self):
         seed = er_seed(30, 0.2, 7)
         plan = GrowthPlan(120, tuple(range(35, 121, 5)), TRACK_BOTH)
-        a = grow_dmc(seed, DmcParams(0.25, 0.5), plan,
-                     np.random.default_rng(5))
-        b = grow_dmc(seed, DmcParams(0.25, 0.5), plan,
-                     np.random.default_rng(5))
+        a, _ = grow_dmc(seed, DmcParams(0.25, 0.5), plan,
+                        np.random.default_rng(5))
+        b, _ = grow_dmc(seed, DmcParams(0.25, 0.5), plan,
+                        np.random.default_rng(5))
         assert np.array_equal(a.values, b.values)
         assert seed.node_count == 30  # input untouched
 
@@ -226,7 +225,7 @@ class TestGrowDmc:
         plan = GrowthPlan(500, cps, TRACK_BOTH)
         params = DmcParams(0.5, 0.25)
         values = np.array([
-            grow_dmc(seed, params, plan, np.random.default_rng(1000 + i))
+            grow_dmc(seed, params, plan, np.random.default_rng(1000 + i))[0]
             .values
             for i in range(150)
         ])
@@ -240,8 +239,8 @@ class TestGrowDmc:
         cps = tuple(range(35, 301, 5))
         plan = GrowthPlan(300, cps, TRACK_BOTH)
         for i, q_m in enumerate((0.15, 0.25, 0.35)):
-            series = grow_dmc(seed, DmcParams(q_m, 0.5), plan,
-                              np.random.default_rng(50 + i))
+            series, _ = grow_dmc(seed, DmcParams(q_m, 0.5), plan,
+                                 np.random.default_rng(50 + i))
             for j in range(2):
                 s = series.values[:, j]
                 assert np.all(s > 0)
@@ -313,8 +312,7 @@ class TestGrowPrice:
         plan = GrowthPlan(100, (50, 100),
                          (SummarySpec("in_degree_mean"),))
         series, g = grow_price(seed, PriceParams(k0=1.0, p=0.0, out_cap=10),
-                               plan, np.random.default_rng(0),
-                               return_graph=True)
+                               plan, np.random.default_rng(0))
         assert g.arc_count == m0
         assert series.values[:, 0] == pytest.approx([m0 / 50, m0 / 100])
 
@@ -322,7 +320,7 @@ class TestGrowPrice:
         seed = directed_seed(20, 0.2, 4)
         plan = GrowthPlan(60, (), ())
         _, g = grow_price(seed, PriceParams(k0=1.0, p=1.0, out_cap=2),
-                          plan, np.random.default_rng(0), return_graph=True)
+                          plan, np.random.default_rng(0))
         out_degree = [0] * g.node_count
         for u, _ in g.edges():
             out_degree[u] += 1
@@ -332,7 +330,7 @@ class TestGrowPrice:
         seed = directed_seed(700, 0.02, 4)
         plan = GrowthPlan(3700, (), ())
         _, g = grow_price(seed, PriceParams(k0=1.0, p=0.02, out_cap=610),
-                          plan, np.random.default_rng(2), return_graph=True)
+                          plan, np.random.default_rng(2))
         added = g.arc_count - seed.arc_count
         assert added / 3000 == pytest.approx(12.2, abs=0.2)
 
@@ -348,7 +346,7 @@ class TestGrowPrice:
         seed = directed_seed(10, 0.3, 1)
         plan = GrowthPlan(200, (), ())
         _, g = grow_price(seed, PriceParams(k0=1.0, p=0.5, out_cap=8),
-                          plan, np.random.default_rng(3), return_graph=True)
+                          plan, np.random.default_rng(3))
         arcs = list(g.edges())
         assert all(u != v for u, v in arcs)
         assert len(set(arcs)) == len(arcs) == g.arc_count

@@ -17,7 +17,7 @@ from test_graph import complete_graph
 def dmc_graph():
     seed = er_seed(30, 0.2, 7)
     _, g = grow_dmc(seed, DmcParams(0.5, 0.25), GrowthPlan(400, (), ()),
-                    np.random.default_rng(1), return_graph=True)
+                    np.random.default_rng(1))
     return g
 
 
@@ -68,8 +68,7 @@ class TestEvaluate:
 
         seed = directed_seed(15, 0.3, 1)
         _, g = grow_price(seed, PriceParams(1.0, 0.4, 6),
-                          GrowthPlan(80, (), ()), np.random.default_rng(0),
-                          return_graph=True)
+                          GrowthPlan(80, (), ()), np.random.default_rng(0))
         mean = evaluate(SummarySpec("in_degree_mean"), g)
         assert mean * g.node_count == pytest.approx(g.arc_count)
 
