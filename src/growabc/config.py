@@ -90,6 +90,7 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         sampled = bool(kinds & set(SAMPLED_KINDS))
+        er = self.seed_type == "er"
         cps = plan.checkpoints
         # checkpoints a fit needs: one per parameter of an LS family
         if self.method == "S":
@@ -138,6 +139,12 @@ class RunConfig:
                  "in-degree summaries need model=price"),
                 (self.seed_type == "edgelist" and not self.seed_path,
                  "seed_type=edgelist needs seed_path"),
+                # the refusals of er_seed, which runs only at the build
+                (er and self.seed_n < 1, "seed_n must be >= 1"),
+                (er and not 0.0 <= self.seed_p <= 1.0,
+                 "seed_p must be in [0, 1]"),
+                (er and self.seed_p == 0.0 and self.seed_n > 1,
+                 "seed_p=0 cannot connect %d seed nodes" % self.seed_n),
                 (len(cps) < need, "method %s needs at least %d checkpoints, "
                  "not %d" % (self.method, need, len(cps))),
                 (sampled and self.n_star > first,

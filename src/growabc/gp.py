@@ -9,10 +9,11 @@ parameters the MAP a is closed form (GPML sec. 2.7); the search
 (projected quasi-Newton from a fixed list of starts) runs over c and
 the kernel parameters of that profiled objective. The predictive
 mean/variance at a larger node count is read off the usual
-conditional-normal formulas. The hyperparameter-free parts of the Gram
-matrix (warped node counts, squared distances, noise positions) are
-built once per fit_map grid. The SciPy routines (``scipy.linalg`` and
-``scipy.optimize``) are imported on the first fit or prediction.
+conditional-normal formulas from one cached solve per fit, which
+``summary_correlation`` shares. The hyperparameter-free parts of the
+Gram matrix (warped node counts, squared distances, noise positions)
+are built once per fit_map grid. The SciPy routines (``scipy.linalg``
+and ``scipy.optimize``) are imported on the first fit or prediction.
 """
 
 import functools
@@ -20,7 +21,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class GpHyper:
     beta: float = 0.0  # RBF scale; only used by linear_plus_rbf
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpFit:
     mean_params: tuple  # (a, c)
     hyper: GpHyper
@@ -63,8 +63,17 @@ class GpFit:
     log_posterior: float
     grid: np.ndarray
     values: np.ndarray
-    _cho: object = None
-    _weights: Optional[np.ndarray] = None  # K^-1 (s - mu)
+
+    @functools.cached_property
+    def solve(self):
+        """The grid's Gram matrix, its Cholesky factor, the residuals
+        s - mean and the weights K^-1 (s - mean), computed on first use."""
+        gram = gram_matrix(self.spec, self.hyper, self.grid)
+        chol = _chol_with_jitter(gram)
+        resid = self.values - _mean(self.mean_params, self.grid)
+        weights, _ = load_scipy().dpotrs(chol, resid, lower=1)
+        return SimpleNamespace(gram=gram, chol=chol, resid=resid,
+                               weights=weights)
 
 
 @dataclass(frozen=True)
@@ -78,15 +87,14 @@ CorrelationResult = namedtuple("CorrelationResult", ["value", "degenerate"])
 
 @functools.cache
 def load_scipy():
-    """The LAPACK/BLAS routines and the optimizer this module calls,
-    imported on first use and bound once per process."""
-    from scipy.linalg import cho_solve
+    """The LAPACK/BLAS routines (each Gram solve is dpotrs on a dpotrf
+    factor) and the optimizer, imported on first use, once per process."""
     from scipy.linalg.blas import dger
     from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
     from scipy.optimize import minimize
 
-    return SimpleNamespace(cho_solve=cho_solve, dger=dger, dpotrf=dpotrf,
-                           dpotri=dpotri, dpotrs=dpotrs, minimize=minimize)
+    return SimpleNamespace(dger=dger, dpotrf=dpotrf, dpotri=dpotri,
+                           dpotrs=dpotrs, minimize=minimize)
 
 
 def _warp(x, warp):
@@ -158,7 +166,7 @@ def _chol_with_jitter(k):
         c, info = dpotrf(k + jit * scale * np.eye(k.shape[0]) if jit else k,
                          lower=1, clean=1)
         if info == 0:
-            return c, True
+            return c
     raise SingularKernel("Cholesky failed after jitter escalation")
 
 
@@ -184,7 +192,6 @@ def _pack(spec):
 def _hyper_from_vector(spec, vec):
     names = _pack(spec)
     kw = dict(zip(names, (float(v) for v in vec)))
-    kw.setdefault("beta", 0.0)
     kw.setdefault("rho", 1.0)
     return GpHyper(**kw)
 
@@ -210,7 +217,7 @@ def _neg_log_posterior_grad(theta, spec, grid, s, prior_centers, prior_sds,
         h = grid ** c
         k, lin, rbf = _assemble(spec, kp, terms)
         try:
-            chol, _ = _chol_with_jitter(k)
+            chol = _chol_with_jitter(k)
         except SingularKernel:
             return 1e30, zero
         a, alpha_vec = _amplitude(chol, s, h, a0, sd_a)
@@ -272,7 +279,11 @@ def fit_map(grid, s, spec, ls_init):
                            % MIN_CHECKPOINTS)
     if not ls_init.converged:
         raise NotConverged("least-squares initialization did not converge")
-    min_spacing = float(np.min(np.diff(np.sort(grid))))
+    counts, seen = np.unique(grid, return_counts=True)
+    if (seen > 1).any():  # two equal Gram rows, and rho's lower bound 0
+        raise ValueError("node count %g is repeated in the grid"
+                         % counts[seen > 1][0])
+    min_spacing = float(np.min(np.diff(counts)))
 
     a0, c0 = ls_init.form.params[:2]
     prior_centers = (a0, c0)
@@ -312,19 +323,10 @@ def fit_map(grid, s, spec, ls_init):
 
     c = float(best.x[0])
     hyper = _hyper_from_vector(spec, best.x[1:])
-    cho = _chol_with_jitter(gram_matrix(spec, hyper, grid))
-    a, weights = _amplitude(cho[0], s, grid ** c, a0, prior_sds[0])
+    chol = _chol_with_jitter(gram_matrix(spec, hyper, grid))
+    a, _ = _amplitude(chol, s, grid ** c, a0, prior_sds[0])
     return GpFit(mean_params=(float(a), c), hyper=hyper, spec=spec,
-                 log_posterior=-float(best.fun), grid=grid, values=s,
-                 _cho=cho, _weights=weights)
-
-
-def _ensure_solve(fit):
-    if fit._cho is None or fit._weights is None:
-        k = gram_matrix(fit.spec, fit.hyper, fit.grid)
-        fit._cho = _chol_with_jitter(k)
-        r = fit.values - _mean(fit.mean_params, fit.grid)
-        fit._weights = load_scipy().cho_solve(fit._cho, r)
+                 log_posterior=-float(best.fun), grid=grid, values=s)
 
 
 def predict(fit, n_o):
@@ -335,30 +337,27 @@ def predict(fit, n_o):
     """
     if n_o <= 0:
         raise ValueError("n_o must be positive")
-    _ensure_solve(fit)
     x = np.array([float(n_o)])
     k_star = gram_matrix(fit.spec, fit.hyper, x, fit.grid, noise=False)[0]
-    mean = float(_mean(fit.mean_params, x)[0] + k_star @ fit._weights)
+    mean = float(_mean(fit.mean_params, x)[0] + k_star @ fit.solve.weights)
     k_nn = kernel_value(fit.spec, fit.hyper, n_o, n_o)  # includes sigma2
-    var = k_nn - float(k_star @ load_scipy().cho_solve(fit._cho, k_star))
+    v, _ = load_scipy().dpotrs(fit.solve.chol, k_star, lower=1)
+    var = k_nn - float(k_star @ v)
     if var <= 0.0:
         var = 1e-12 * max(abs(k_nn), 1.0)
     return GpPredictive(mean=mean, variance=var)
 
 
-def summary_correlation(fits, columns):
+def summary_correlation(fits):
     """Pearson correlation of standardized GP residuals of two summaries
     tracked on the same checkpoint grid of one realization."""
-    if len(fits) != 2 or len(columns) != 2:
-        raise ValueError("exactly two summaries are required")
+    if len(fits) != 2 or not np.array_equal(fits[0].grid, fits[-1].grid):
+        raise ValueError("exactly two fits on one grid are required")
     resids = []
-    for fit, s in zip(fits, columns):
-        s = np.asarray(s, dtype=float)
-        if len(s) != len(fit.grid):
-            raise ValueError("series length does not match the fit grid")
-        sd = np.sqrt(np.diag(gram_matrix(fit.spec, fit.hyper, fit.grid)))
+    for fit in fits:
+        sd = np.sqrt(np.diag(fit.solve.gram))
         sd[sd == 0.0] = 1.0
-        resids.append((s - _mean(fit.mean_params, fit.grid)) / sd)
+        resids.append(fit.solve.resid / sd)
     r0, r1 = resids
     if np.std(r0) == 0.0 or np.std(r1) == 0.0:
         return CorrelationResult(0.0, True)

@@ -115,8 +115,7 @@ def _entry_values(cfg, theta, rng):
         means.append(pred.mean)
         variances.append(pred.variance)
     if len(specs) == 2:
-        corr = gp.summary_correlation(
-            fits, [series.column(s.name) for s in specs]).value
+        corr = gp.summary_correlation(fits).value
     else:
         corr = 0.0
     return tuple(means), tuple(variances), corr

@@ -1,5 +1,6 @@
+import functools
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -93,8 +94,28 @@ def profiled_amplitude(spec, hyper, s, c, center=0.4, sd=1.0):
     """The objective's closed-form amplitude on GRID."""
     from growabc.gp import _amplitude, _chol_with_jitter
 
-    chol, _ = _chol_with_jitter(gram_matrix(spec, hyper, GRID))
+    chol = _chol_with_jitter(gram_matrix(spec, hyper, GRID))
     return _amplitude(chol, s, GRID ** c, center, sd)[0]
+
+
+@functools.cache
+def dmc_series():
+    """Checkpoint grid and summary columns of entry 1 of the dmc_gp
+    benchmark's RunConfig (master seed 0): a grown DMC series."""
+    from growabc.config import RunConfig
+    from growabc.rejection import draw_prior
+    from growabc.seeding import mix_seed
+    from growabc.table import grow_to
+
+    cfg = RunConfig(method="GPa", n_s=500, n_o=1000, truths="0.25:0.5",
+                    table_size=8, accept_k=3, exp_replicates=4,
+                    master_seed=0)
+    rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
+    theta = draw_prior(cfg.prior_box(), rng)
+    series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
+    return (np.asarray(series.checkpoints, dtype=float),
+            [np.asarray(series.column(sp.name), dtype=float)
+             for sp in cfg.summary_specs()])
 
 
 def manual_fit(spec, hyper, grid, s, mean_params):
@@ -459,6 +480,17 @@ class TestFitMap:
             fit_map(GRID[:3], (2 * GRID)[:3],
                     KernelSpec("linear_only", "identity"), ls)
 
+    def test_repeated_node_count_is_refused(self):
+        # equal Gram rows made rho's lower bound 0, and the search
+        # divided by it
+        x = np.array([100, 100, 200, 300, 400, 500, 600], dtype=float)
+        y = 2.0 * x ** 0.8
+        with pytest.raises(ValueError, match="node count 100 is repeated"):
+            fit_map(x, y, KernelSpec("linear_plus_rbf", "identity"),
+                    fit_series(x, y, "power"))
+        with pytest.raises(ValueError, match="node count 100 is repeated"):
+            GpExtrapolator().fit(x, y)
+
     def test_unconverged_init_rejected(self):
         from growabc.curvefit import FunctionalForm, LsFit
 
@@ -508,6 +540,40 @@ class TestPredict:
             assert abs(pred.variance - var) \
                 <= 1e-8 * max(abs(var), abs(k_nn))
 
+    @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
+                                        "linear_times_rbf"])
+    @pytest.mark.parametrize("warp", ["sqrt", "identity"])
+    def test_fit_map_results_match_dense_oracle(self, family, warp):
+        # MAP fits of a grown series leave the Gram far less well
+        # conditioned than random_hyper does, so both paths may differ
+        # by the solve's rounding, which grows with cond(K)
+        grid, columns = dmc_series()
+        spec = KernelSpec(family, warp)
+        for s in columns:
+            fit = fit_map(grid, s, spec, fit_series(grid, s, "power"))
+            pred = predict(fit, 1000)
+            mean, var = dense_oracle(spec, fit.hyper, grid, s,
+                                     fit.mean_params, 1000)
+            k_nn = kernel_value(spec, fit.hyper, 1000, 1000)
+            tol = 64 * np.finfo(float).eps \
+                * np.linalg.cond(gram_matrix(spec, fit.hyper, grid))
+            assert abs(pred.mean - mean) <= tol * abs(mean)
+            assert abs(pred.variance - var) <= tol * max(abs(var), k_nn)
+
+    def test_fit_is_frozen(self):
+        # the cached solve is computed once from the fields, so no field
+        # may change after it
+        spec = KernelSpec("linear_only", "identity")
+        hyper = GpHyper(alpha=0.5, gamma=0.1, beta=0.0, rho=5.0, sigma2=1.0)
+        fit = manual_fit(spec, hyper, GRID, 2 * GRID, (2.0, 1.0))
+        before = predict(fit, 1000)
+        assert fit.solve is fit.solve
+        with pytest.raises(FrozenInstanceError):
+            fit.values = 3 * GRID
+        with pytest.raises(FrozenInstanceError):
+            fit.hyper = replace(hyper, sigma2=2.0)
+        assert predict(fit, 1000) == before
+
     def test_variance_shrinks_with_more_checkpoints(self):
         spec = KernelSpec("linear_plus_rbf", "identity")
         hyper = GpHyper(alpha=0.5, gamma=0.1, beta=1.0, rho=50.0,
@@ -555,14 +621,14 @@ class TestSummaryCorrelation:
     def test_identical_columns(self):
         rng = np.random.default_rng(7)
         s = rng.normal(0, 1, len(GRID))
-        result = summary_correlation(self._fit_pair(s, s), [s, s])
+        result = summary_correlation(self._fit_pair(s, s))
         assert result.value == pytest.approx(1.0)
         assert not result.degenerate
 
     def test_negated_column(self):
         rng = np.random.default_rng(8)
         s = rng.normal(0, 1, len(GRID))
-        result = summary_correlation(self._fit_pair(s, -s), [s, -s])
+        result = summary_correlation(self._fit_pair(s, -s))
         assert result.value == pytest.approx(-1.0)
 
     def test_white_noise_near_zero(self):
@@ -570,7 +636,7 @@ class TestSummaryCorrelation:
         for _ in range(10):
             a = rng.normal(0, 1, len(GRID))
             b = rng.normal(0, 1, len(GRID))
-            result = summary_correlation(self._fit_pair(a, b), [a, b])
+            result = summary_correlation(self._fit_pair(a, b))
             assert abs(result.value) < 0.35
 
     @pytest.mark.parametrize("family", ["linear_plus_rbf", "linear_only",
@@ -589,12 +655,22 @@ class TestSummaryCorrelation:
             sd = np.sqrt([kernel_value(spec, hyper, n, n) for n in GRID])
             mean = 0.5 * GRID ** 1.0
             expected = np.corrcoef((s1 - mean) / sd, (s2 - mean) / sd)[0, 1]
-            result = summary_correlation(fits, [s1, s2])
+            result = summary_correlation(fits)
             assert result.value == min(1.0, max(-1.0, float(expected)))
+
+    def test_fits_on_different_grids_are_refused(self):
+        s = np.random.default_rng(16).normal(0, 1, len(GRID))
+        fits = self._fit_pair(s, s)
+        fits[1] = replace(fits[1], grid=GRID + 1.0)
+        with pytest.raises(ValueError, match="one grid"):
+            summary_correlation(fits)
+        fits[1] = replace(fits[1], grid=GRID[:-1], values=s[:-1])
+        with pytest.raises(ValueError, match="one grid"):
+            summary_correlation(fits)
 
     def test_degenerate_residuals(self):
         s = np.zeros(len(GRID))
-        result = summary_correlation(self._fit_pair(s, s), [s, s])
+        result = summary_correlation(self._fit_pair(s, s))
         assert result.value == 0.0
         assert result.degenerate
 

@@ -55,6 +55,12 @@ PROBES = {
     "summary_named_twice": ["summaries=avg_degree, avg_degree"],
     # wrote table.csv, then raised TooFewInputs from compute_sds
     "one_row_table": ["table_size=1", "accept_k=1"],
+    # raised ValueError or ConnectivityUnreachable from er_seed at the
+    # build
+    "zero_seed_n": ["seed_n=0"],
+    "seed_p_above_one": ["seed_p=1.5"],
+    "negative_seed_p": ["seed_p=-0.1"],
+    "zero_seed_p": ["seed_p=0"],
 }
 
 
