@@ -55,12 +55,15 @@ class Graph:
     ``add_duplicate``, the DMC step's mutation, trusts its caller to take
     them from the graph and drops edges from the projection only, so it
     serves undirected graphs only. Every added node goes through
-    ``_append``.
+    ``_append``, which keeps the node's one int object (``_ids``);
+    ``add_node_with_edges`` puts those objects in the lists, not its
+    caller's, so a graph grown by it holds one int object per id.
     """
 
     def __init__(self, directed=False, track_triangles=False):
         self.directed = bool(directed)
         self._adj = []          # undirected projection neighbour lists
+        self._ids = []          # the one int object of each id
         self._in = [] if directed else None
         self._edge_count = 0    # projection edges
         # running triangle count and projection neighbour bitmasks (bit w
@@ -81,7 +84,7 @@ class Graph:
         ins = g._in = [[] for _ in range(n)] if directed else None
         # one int object per id, shared by every list that holds it,
         # whatever objects the pairs hold
-        ids = list(range(n))
+        ids = g._ids = list(range(n))
         for u, v in edges:
             adj[u].append(ids[v])
             adj[v].append(ids[u])
@@ -135,6 +138,7 @@ class Graph:
         """
         adj = self._adj
         u = len(adj)
+        self._ids.append(u)
         bits = self._bits
         if bits is None:
             for w in nbrs:
@@ -164,13 +168,15 @@ class Graph:
 
     def add_node_with_edges(self, neighbors):
         """Add a node connected to ``neighbors``; returns the new id. The
-        ids are checked once per call, before anything changes."""
+        ids are checked once per call, before anything changes, and the
+        lists get the graph's own int object of each."""
         nbrs = sorted(neighbors)
         if len(set(nbrs)) != len(nbrs):
             raise ValueError("duplicate neighbor ids")
         if nbrs and (nbrs[0] < 0 or nbrs[-1] >= len(self._adj)):
             raise UnknownNode(nbrs[0] if nbrs[0] < 0 else nbrs[-1])
-        return self._append(nbrs)
+        ids = self._ids
+        return self._append([ids[w] for w in nbrs])
 
     def add_duplicate(self, v, kept, lost):
         """Drop v's edges to ``lost``, then add a node adjacent to
@@ -304,6 +310,7 @@ class Graph:
             track_triangles = self.tracks_triangles
         g = Graph(directed=self.directed)
         g._adj = [a.copy() for a in self._adj]
+        g._ids = self._ids.copy()
         if self.directed:
             g._in = [a.copy() for a in self._in]
         g._edge_count = self._edge_count

@@ -12,7 +12,8 @@ an entry by ``RunConfig.entry_plan()``, an observed network by a plan
 to n_o. The seed graph is built once, before any entry (an edge-list
 seed file is read, and so checked, then, and the entries' growth plan
 is checked against its size); the SciPy modules the entries call are
-imported then too. Rows are written
+imported then too, before the pool forks, so its forked processes
+inherit them. Rows are written
 incrementally and builds are resumable by entry id, guarded by a config
 hash in the header comment. Resuming checks that hash, then cuts off a
 last row without its newline (a build killed mid-write), and reading
@@ -208,9 +209,10 @@ def build_reference_table(cfg, out_path, workers=None):
 
     The seed graph is built, and the SciPy modules that the config's
     tasks call are imported (``_load_task_scipy``), here, before the pool
-    forks: its workers inherit both, and no worker imports SciPy itself.
-    ``run_experiment``'s observed-network pool, forked after this call,
-    inherits them too."""
+    forks: its forked processes inherit both and import no SciPy
+    themselves, and this process, which computes entries beside them,
+    has both already. ``run_experiment``'s observed-network pool, forked
+    after this call, inherits them too."""
     cfg.validate()
     try:  # an edge-list seed can be too large for the entries' plan
         cfg.entry_plan().validate(build_seed_graph(cfg).node_count)

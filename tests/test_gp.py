@@ -250,7 +250,7 @@ class TestObjective:
         s = 0.4 * GRID ** 1.1 + rng.normal(0, 0.5, len(GRID))
         fit_map(GRID, s, KernelSpec("linear_plus_rbf", "identity"),
                 fit_series(GRID, s, "power"))
-        # plus one for the final solve that predictions reuse
+        # plus one for the final factor, which gives the amplitude
         assert counts["objective"] > 0
         assert counts["gram"] == counts["objective"] + 1
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from growabc.seeding import (
 )
 from growabc.graph import Graph, er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
+from growabc.pool import pool_map
 from growabc.summaries import SummarySpec, evaluate
 from growabc.table import (
     build_reference_table,
@@ -563,15 +565,106 @@ class TestExperiment:
 
     def test_pool_matches_serial(self, tmp_path):
         # 8 entries and 4 observed networks: both pools run at workers=2
+        # and at workers=3
         cfg = small_cfg(table_size=8, exp_replicates=4)
-        outs = {w: str(tmp_path / ("w%d" % w)) for w in (1, 2)}
+        outs = {w: str(tmp_path / ("w%d" % w)) for w in (1, 2, 3)}
         for w, out in outs.items():
             run_experiment(cfg, out, workers=w)
         for name in ("posterior_means.csv", "experiment_stats.json",
                      "table.csv"):
             a = open(os.path.join(outs[1], name), "rb").read()
-            b = open(os.path.join(outs[2], name), "rb").read()
-            assert a == b, name
+            for w in (2, 3):
+                b = open(os.path.join(outs[w], name), "rb").read()
+                assert a == b, (name, w)
+
+
+def _pool_job(job):
+    """(index, pause in s, fail?, log dir) -> (index, pid). Each run
+    appends its index to a file of the log dir named for its process."""
+    i, pause, fail, log = job
+    with open(os.path.join(log, str(os.getpid())), "a") as fh:
+        fh.write("%d\n" % i)
+    time.sleep(pause)
+    if fail:
+        raise ValueError("job %d" % i)
+    return i, os.getpid()
+
+
+def _pool_runs(log):
+    """{pid: indices of the jobs it ran} from the log dir."""
+    return {int(p): sorted(map(int, (log / p).read_text().split()))
+            for p in os.listdir(log)}
+
+
+class TestPool:
+    # at workers=2 the pool forks one process and hands it jobs 0 and 1,
+    # one running and one queued, before the caller takes job 2
+
+    def test_caller_and_forked_process_both_compute(self, tmp_path):
+        jobs = [(i, 0.02, False, str(tmp_path)) for i in range(12)]
+        results = list(pool_map(_pool_job, jobs, 2))
+        assert [i for i, _ in results] == list(range(12))
+        runs = _pool_runs(tmp_path)
+        assert len(runs) == 2 and os.getpid() in runs
+        assert sorted(sum(runs.values(), [])) == list(range(12))
+        assert {pid for _, pid in results} == set(runs)
+
+    @pytest.mark.parametrize("workers,count", [(2, 12), (8, 4), (0, 4)])
+    def test_forks_at_most_one_fewer_than_jobs(self, monkeypatch, tmp_path,
+                                               workers, count):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        jobs = [(i, 0.0, False, str(tmp_path)) for i in range(count)]
+        assert [i for i, _ in pool_map(_pool_job, jobs, workers)] == list(
+            range(count))
+        assert len(forks) == min(workers or os.cpu_count(), count) - 1
+
+    def test_last_job_goes_to_the_free_process(self, tmp_path):
+        # job 0 ends first, while the forked process still has job 1 to
+        # run: job 3, the last, is not queued behind job 1 but left to
+        # the caller, free after job 2
+        pauses = (0.05, 0.6, 0.2, 0.05)
+        jobs = [(i, p, False, str(tmp_path)) for i, p in enumerate(pauses)]
+        assert [i for i, _ in pool_map(_pool_job, jobs, 2)] == [0, 1, 2, 3]
+        runs = _pool_runs(tmp_path)
+        assert runs.pop(os.getpid()) == [2, 3]
+        assert list(runs.values()) == [[0, 1]]
+
+    def test_caller_job_raises_at_its_position(self, tmp_path):
+        # job 2 fails at once in the caller, while the forked process is
+        # on jobs 0 and 1: those two come back, then job 2 raises, and no
+        # later job starts
+        jobs = [(i, 0.3 if i < 2 else 0.0, i == 2, str(tmp_path))
+                for i in range(8)]
+        got = []
+        with pytest.raises(ValueError, match="job 2"):
+            for i, _ in pool_map(_pool_job, jobs, 2):
+                got.append(i)
+        assert got == [0, 1]
+        runs = _pool_runs(tmp_path)
+        assert runs.pop(os.getpid()) == [2]
+        assert list(runs.values()) == [[0, 1]]
+
+    def test_forked_job_raises_at_its_position(self, tmp_path):
+        # job 0 fails at once in the forked process while the caller is
+        # on job 2: nothing comes back before job 0 raises, and no job
+        # after the queued job 1 starts
+        jobs = [(i, 0.5 if i == 2 else 0.0, i == 0, str(tmp_path))
+                for i in range(8)]
+        got = []
+        with pytest.raises(ValueError, match="job 0"):
+            for i, _ in pool_map(_pool_job, jobs, 2):
+                got.append(i)
+        assert got == []
+        runs = _pool_runs(tmp_path)
+        assert runs.pop(os.getpid()) == [2]
+        assert list(runs.values()) == [[0, 1]]
 
 
 class TestSeedGraph:

@@ -351,6 +351,16 @@ class TestGrowPrice:
         assert all(u != v for u, v in arcs)
         assert len(set(arcs)) == len(arcs) == g.arc_count
 
+    def test_lists_share_one_int_object_per_id(self):
+        # preferential_sample's targets are fresh int objects; the lists
+        # hold the graph's own object of each id instead
+        seed = directed_seed(20, 0.2, 4)
+        _, g = grow_price(seed, PriceParams(k0=2.5, p=0.005),
+                          GrowthPlan(1500, (), ()), np.random.default_rng(0))
+        objects = {id(w) for a in g._adj + g._in for w in a}
+        assert g.arc_count > 2 * g.node_count
+        assert len(objects) <= g.node_count
+
 
 def test_param_validation():
     with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Each check runs in a fresh interpreter, since this test process has
 SciPy loaded already. Acceptance against an existing table loads no
 SciPy at all, also when it simulates its observed network; a build
 imports what its tasks call before its pool forks, so no forked worker
-imports a module of its own.
+imports a module of its own. Likewise ``multiprocessing`` is loaded
+only by a pool that forks, so the steps that run no pool never load it.
 """
 
 import json
@@ -67,10 +68,44 @@ steps["cli abc-run, simulated observed"] = scipy_loaded()
 print(json.dumps(steps))
 """
 
+# prints the pool modules (multiprocessing, concurrent.futures) loaded
+# after each step as one JSON object
+NO_POOL = """
+import json
+import sys
+
+def pool_loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("multiprocessing", "concurrent"))
+
+steps = {}
+import growabc
+from growabc import cli
+from growabc.config import RunConfig
+from growabc.table import build_seed_graph
+steps["import growabc"] = pool_loaded()
+cfg = RunConfig(**%(small)r)
+cfg.validate()
+steps["validate"] = pool_loaded()
+build_seed_graph(cfg)
+steps["build_seed_graph"] = pool_loaded()
+table, out = sys.argv[1:]
+sets = ["--set=%%s=%%s" %% kv for kv in %(small)r.items()]
+assert cli.main(["seed-gen", "--out", out, *sets]) == 0
+steps["cli seed-gen"] = pool_loaded()
+assert cli.main(["abc-run", "--table", table, "--observed", "10,300",
+                 "--out", out + "/obs", *sets]) == 0
+steps["cli abc-run"] = pool_loaded()
+assert cli.main(["abc-run", "--table", table, "--out", out + "/sim",
+                 *sets]) == 0
+steps["cli abc-run, simulated observed"] = pool_loaded()
+print(json.dumps(steps))
+"""
+
 # run_experiment with a table build and an observed-network pool on two
-# workers; each task run in a worker reports every module it imported,
-# SciPy's or any other (such as the numpy.ma that np.unique imports on
-# first use)
+# workers, the caller and one forked process; every task reports its
+# pool, its process and every module it imported, SciPy's or any other
+# (such as the numpy.ma that np.unique imports on first use)
 POOL_TASKS = """
 import functools
 import json
@@ -84,27 +119,31 @@ from growabc.config import RunConfig
 queue = multiprocessing.SimpleQueue()
 main_pid = os.getpid()
 
-def reporting(fn):
+def reporting(fn, pool):
     @functools.wraps(fn)
     def task(job):
         before = set(sys.modules)
         try:
             return fn(job)
         finally:
-            if os.getpid() != main_pid:
-                queue.put(sorted(set(sys.modules) - before))
+            queue.put((pool, os.getpid() == main_pid,
+                       sorted(set(sys.modules) - before)))
 
     return task
 
 for module, attr in ((table, "_build_entry"), (experiment, "_observed_for")):
-    setattr(module, attr, reporting(getattr(module, attr)))
+    setattr(module, attr, reporting(getattr(module, attr), attr))
 experiment.run_experiment(RunConfig(**%(cfg)r), sys.argv[1], workers=2)
 reports = []
 while not queue.empty():
     reports.append(queue.get())
+tasks = {}  # pool: [tasks in the caller, tasks in a forked process]
+for pool, in_caller, _ in reports:
+    tasks.setdefault(pool, [0, 0])[0 if in_caller else 1] += 1
 print(json.dumps({
-    "worker_tasks": len(reports),
-    "imported": sorted(set().union(*reports)),
+    "tasks": tasks,
+    "imported": sorted(set().union(*(imported for _, in_caller, imported
+                                     in reports if not in_caller))),
     "parent": sorted(p for p in ("sparse", "linalg", "optimize", "special")
                      if "scipy." + p in sys.modules)}))
 """
@@ -139,6 +178,18 @@ def test_acceptance_on_a_built_table_loads_no_scipy(tmp_path):
         assert (tmp_path / "out" / run / "posterior.csv").exists()
 
 
+def test_steps_without_a_pool_load_no_multiprocessing(tmp_path):
+    table = tmp_path / "ls.csv"
+    build_reference_table(RunConfig(**SMALL), str(table), workers=1)
+    steps = run_fresh(NO_POOL % {"small": SMALL}, table, tmp_path / "out")
+    assert list(steps) == ["import growabc", "validate", "build_seed_graph",
+                           "cli seed-gen", "cli abc-run",
+                           "cli abc-run, simulated observed"]
+    assert steps == {step: [] for step in steps}
+    for run in ("obs", "sim"):
+        assert (tmp_path / "out" / run / "posterior.csv").exists()
+
+
 @pytest.mark.parametrize("cfg,parent", [
     (SMALL, []),
     (dict(SMALL, method="GPa"), ["linalg", "optimize", "sparse", "special"]),
@@ -146,16 +197,22 @@ def test_acceptance_on_a_built_table_loads_no_scipy(tmp_path):
     (PRICE, ["special"]),
 ], ids=["LS", "GPa", "S", "price_LS"])
 def test_pool_workers_import_no_scipy(tmp_path, cfg, parent):
-    # no task run in a worker imports any module; the parent imports
-    # what the tasks call before its pools fork: an LS or S build of the
-    # DMC summaries loads no SciPy (triangles are counted with NumPy
-    # alone), a GPa build what scipy.optimize pulls in, and a Price LS
-    # build scipy.special alone, for the digamma fits of
-    # in_degree_variance
+    # every task runs once, and each pool runs tasks both in the caller
+    # and in its forked process; no task run in a forked process imports
+    # any module; the parent imports what the tasks call before its
+    # pools fork: an LS or S build of the DMC summaries loads no SciPy
+    # (triangles are counted with NumPy alone), a GPa build what
+    # scipy.optimize pulls in, and a Price LS build scipy.special alone,
+    # for the digamma fits of in_degree_variance
     result = run_fresh(POOL_TASKS % {"cfg": cfg}, tmp_path / "exp")
-    assert result == {"worker_tasks": cfg["table_size"]
-                      + cfg["exp_replicates"],
-                      "imported": [], "parent": parent}
+    tasks = result.pop("tasks")
+    assert sorted(tasks) == ["_build_entry", "_observed_for"]
+    assert sum(map(sum, tasks.values())) == (cfg["table_size"]
+                                             + cfg["exp_replicates"])
+    assert sum(tasks["_build_entry"]) == cfg["table_size"]
+    for in_caller, forked in tasks.values():
+        assert in_caller >= 1 and forked >= 1
+    assert result == {"imported": [], "parent": parent}
 
 
 # the cached edge-list seed of one config: whether it keeps a running
