@@ -38,11 +38,13 @@ def pool_map(fn, jobs, workers):
     import threading
     from concurrent.futures import Future, ProcessPoolExecutor
 
+    forked = min(workers, len(jobs)) - 1
     # one lock over the shared index and the submissions; reentrant, for
     # a future that is done already runs its callback in the adding thread
     lock = threading.RLock()
     slots = [None] * len(jobs)  # each assigned job's Future
-    next_job = 0
+    next_job = 0   # the shared index
+    in_flight = 0  # jobs submitted to the forked processes, not finished
     stopped = False
 
     def claim():
@@ -77,8 +79,6 @@ def pool_map(fn, jobs, workers):
             in_flight -= 1
             top_up()
 
-    forked = min(workers, len(jobs)) - 1
-    in_flight = 0
     pool = ProcessPoolExecutor(max_workers=forked)
     try:
         with lock:

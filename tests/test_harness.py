@@ -1,6 +1,8 @@
 import csv
+import faulthandler
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -599,6 +601,35 @@ def _pool_runs(log):
 class TestPool:
     # at workers=2 the pool forks one process and hands it jobs 0 and 1,
     # one running and one queued, before the caller takes job 2
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        # a pool that hangs, in a lock or in its shutdown, ends the run
+        # with every thread's traceback after 60 s instead of hanging it
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+    def test_many_short_jobs_on_more_workers_than_cores(self, tmp_path):
+        # the caller and the pool's result thread share the job index and
+        # the in-flight count; with threads switching as often as they
+        # can, a lost update would run a job twice, skip one or stall
+        count = 300
+        jobs = [(i, 0.001 * (i % 3), False, str(tmp_path))
+                for i in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = list(pool_map(_pool_job, jobs,
+                                    2 * (os.cpu_count() or 1) + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [i for i, _ in results] == list(range(count))
+        runs = _pool_runs(tmp_path)
+        assert sorted(sum(runs.values(), [])) == list(range(count))
+        assert os.getpid() in runs and len(runs) >= 2
 
     def test_caller_and_forked_process_both_compute(self, tmp_path):
         jobs = [(i, 0.02, False, str(tmp_path)) for i in range(12)]
