@@ -87,11 +87,13 @@ def dmc_step(g, params, rng):
     graph is changed once, to its final state, by ``Graph.add_duplicate``
     in one pass: the anchor loses its lost edges, and the duplicate is
     added with only the edges it keeps, the link to the anchor among
-    them. A directed graph is refused, as ``grow_dmc`` refuses it.
+    them. The anchor is the graph's own int object of its id, so the
+    link puts no new int object in the duplicate's list. A directed graph
+    is refused, as ``grow_dmc`` refuses it.
     """
     if g.directed:
         raise PlanInvalid("DMC growth needs an undirected seed")
-    v = int(rng.integers(g.node_count))
+    v = g._ids[rng.integers(g.node_count)]  # the graph's own int object
     nbrs = g.neighbors(v)  # ascending
     d = len(nbrs)
     q_m = params.q_m

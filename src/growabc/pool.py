@@ -3,8 +3,13 @@
 The calling process is one of the pool's computing processes: it forks
 the others and runs jobs itself between the results it hands back, so
 a pool of ``workers`` holds ``workers - 1`` forked copies of the
-caller's image, not ``workers``. ``concurrent.futures``, and with it
-``multiprocessing``, is imported only when a pool forks.
+caller's image, not ``workers``. The pool always forks, whatever the
+interpreter's default start method, so the forked processes inherit
+the caller's modules and state. The calling thread alone reads and
+writes the pool's state (the next job, the forked jobs in flight,
+whether a job has raised), so it needs no lock and no callback.
+``concurrent.futures``, and with it ``multiprocessing``, is imported
+only when a pool forks.
 """
 
 import os
@@ -16,88 +21,60 @@ def pool_map(fn, jobs, workers):
     in this process. Otherwise this process and
     ``min(workers, len(jobs)) - 1`` forked ones compute.
 
-    Jobs go out one at a time, in order, from one shared index. The
-    forked processes hold two jobs each in flight, one running and one
-    queued, refilled as each finishes, so that none waits on this
-    process; once no more jobs are unassigned than there are forked
-    processes, they hold one each, so that the last jobs go to whichever
-    process is free first. This process runs the next unassigned job
-    whenever it is not handing back a result. A job's exception is
-    raised at its position in job order; once a job has raised, no
-    further job starts, and jobs still queued are cancelled. ``fn`` must
-    be a module-level function, looked up by name when the pool pickles
-    it. The forked processes inherit this one's modules, so the caller
-    imports what its tasks need (``build_reference_table`` imports their
-    SciPy modules) before calling this: a module a task imports for
-    itself is imported again in every forked process, for every pool."""
+    Jobs are claimed in order. Each time this process comes back to its
+    loop, after each job it runs and each result it yields, it drops the
+    forked jobs that have finished, claims no more if one of them
+    raised, and tops the forked processes up to two jobs each in flight,
+    one running and one queued; once no more jobs are unassigned than
+    there are forked processes, to one each, so that the last jobs go to
+    whichever process is free first. Then, unless job order's next
+    result is ready, it runs the next unassigned job itself. A forked
+    process that finishes both its jobs while this one runs a job waits
+    for it. A job's exception is raised at its position in job order;
+    once a job has raised, no further job starts, and jobs still queued
+    are cancelled. ``fn`` must be a module-level function, looked up by
+    name when the pool pickles it. The forked processes inherit this
+    one's modules, so the caller imports what its tasks need
+    (``build_reference_table`` imports their SciPy modules) before
+    calling this: a module a task imports for itself is imported again
+    in every forked process, for every pool."""
     if workers <= 0:
         workers = os.cpu_count() or 1
     if workers == 1 or len(jobs) < 4:
         yield from map(fn, jobs)
         return
-    import threading
     from concurrent.futures import Future, ProcessPoolExecutor
+    from multiprocessing import get_context
 
     forked = min(workers, len(jobs)) - 1
-    # one lock over the shared index and the submissions; reentrant, for
-    # a future that is done already runs its callback in the adding thread
-    lock = threading.RLock()
-    slots = [None] * len(jobs)  # each assigned job's Future
-    next_job = 0   # the shared index
-    in_flight = 0  # jobs submitted to the forked processes, not finished
-    stopped = False
-
-    def claim():
-        # the next unassigned job's index, or None; called with the lock
-        nonlocal next_job
-        if stopped or next_job == len(jobs):
-            return None
-        next_job += 1
-        return next_job - 1
-
-    def top_up():
-        # called with the lock
-        nonlocal in_flight
-        while in_flight < forked * (2 if len(jobs) - next_job > forked
-                                    else 1):
-            i = claim()
-            if i is None:
-                return
-            in_flight += 1
-            slots[i] = pool.submit(fn, jobs[i])
-            slots[i].add_done_callback(refill)
-
-    def refill(done):
-        # runs in the pool's result thread as each forked job finishes;
-        # a failed job takes no lock, since its future can be failed
-        # with the pool's own lock held
-        nonlocal stopped, in_flight
-        if done.cancelled() or done.exception() is not None:
-            stopped = True
-            return
-        with lock:
-            in_flight -= 1
-            top_up()
-
-    pool = ProcessPoolExecutor(max_workers=forked)
+    slots = [None] * len(jobs)  # each claimed job's future
+    running = set()  # the forked jobs' futures not yet seen done
+    claimed = 0      # jobs 0 to claimed - 1 are claimed
+    stopped = False  # a job has raised: claim no more
+    pool = ProcessPoolExecutor(forked, mp_context=get_context("fork"))
     try:
-        with lock:
-            top_up()
         for k in range(len(jobs)):
-            while slots[k] is None or not slots[k].done():
-                with lock:
-                    i = claim()
-                if i is None:  # every job is assigned: wait for job k
-                    break
-                slots[i] = Future()
+            while True:
+                finished = {f for f in running if f.done()}
+                running -= finished
+                if any(f.exception() is not None for f in finished):
+                    stopped = True
+                while not stopped and claimed < len(jobs) and len(running) < (
+                        2 * forked if len(jobs) - claimed > forked else forked):
+                    slots[claimed] = pool.submit(fn, jobs[claimed])
+                    running.add(slots[claimed])
+                    claimed += 1
+                if stopped or claimed == len(jobs) or (
+                        slots[k] is not None and slots[k].done()):
+                    break  # yield job k's result, waiting for it if need be
+                slots[claimed] = Future()
                 try:
-                    slots[i].set_result(fn(jobs[i]))
+                    slots[claimed].set_result(fn(jobs[claimed]))
                 except Exception as exc:
                     stopped = True
-                    slots[i].set_exception(exc)
+                    slots[claimed].set_exception(exc)
+                claimed += 1
             done, slots[k] = slots[k], None
             yield done.result()
     finally:
-        with lock:
-            stopped = True
         pool.shutdown(cancel_futures=True)

@@ -1,6 +1,7 @@
 import csv
 import faulthandler
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -592,6 +593,18 @@ def _pool_job(job):
     return i, os.getpid()
 
 
+def _dying_job(job):
+    """(index, pause in s, die?, log dir, caller's pid) -> (index, pid),
+    run and logged as ``_pool_job`` runs it; a job marked to die then
+    ends its process at once, without cleanup, unless that is the
+    caller."""
+    i, pause, die, log, caller = job
+    result = _pool_job((i, pause, False, log))
+    if die and os.getpid() != caller:
+        os._exit(1)
+    return result
+
+
 def _pool_runs(log):
     """{pid: indices of the jobs it ran} from the log dir."""
     return {int(p): sorted(map(int, (log / p).read_text().split()))
@@ -604,7 +617,7 @@ class TestPool:
 
     @pytest.fixture(autouse=True)
     def time_bound(self):
-        # a pool that hangs, in a lock or in its shutdown, ends the run
+        # a pool that hangs, on a job or in its shutdown, ends the run
         # with every thread's traceback after 60 s instead of hanging it
         faulthandler.dump_traceback_later(60, exit=True)
         try:
@@ -613,9 +626,9 @@ class TestPool:
             faulthandler.cancel_dump_traceback_later()
 
     def test_many_short_jobs_on_more_workers_than_cores(self, tmp_path):
-        # the caller and the pool's result thread share the job index and
-        # the in-flight count; with threads switching as often as they
-        # can, a lost update would run a job twice, skip one or stall
+        # with threads switching as often as they can, between the
+        # caller's loop and the executor's own threads, every job still
+        # runs once and the results come back in order
         count = 300
         jobs = [(i, 0.001 * (i % 3), False, str(tmp_path))
                 for i in range(count)]
@@ -696,6 +709,35 @@ class TestPool:
         runs = _pool_runs(tmp_path)
         assert runs.pop(os.getpid()) == [2]
         assert list(runs.values()) == [[0, 1]]
+
+    def test_forked_process_dying_mid_job_breaks_the_pool(self, tmp_path):
+        # the forked process ends on job 0 while the caller runs job 2:
+        # the pool raises at job 0's position and leaves no process
+        from concurrent.futures.process import BrokenProcessPool
+
+        jobs = [(i, 0.3 if i == 2 else 0.05, i == 0, str(tmp_path),
+                 os.getpid()) for i in range(8)]
+        got = []
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            for i, _ in pool_map(_dying_job, jobs, 2):
+                got.append(i)
+        assert time.monotonic() - start < 10
+        assert got == []
+        assert multiprocessing.active_children() == []
+        assert 2 in _pool_runs(tmp_path)[os.getpid()]
+
+    def test_closing_after_the_first_result_stops_the_pool(self, tmp_path):
+        # the jobs still queued are cancelled and the forked process
+        # ends: closing waits only for the jobs it holds
+        jobs = [(i, 0.1, False, str(tmp_path)) for i in range(12)]
+        results = pool_map(_pool_job, jobs, 2)
+        assert next(results)[0] == 0
+        start = time.monotonic()
+        results.close()
+        assert time.monotonic() - start < 2
+        assert multiprocessing.active_children() == []
+        assert len(sum(_pool_runs(tmp_path).values(), [])) < len(jobs)
 
 
 class TestSeedGraph:

@@ -193,6 +193,15 @@ class TestGrowDmc:
                              np.random.default_rng(0))
         assert series.values.shape == (94, 2)
 
+    def test_lists_share_one_int_object_per_id(self):
+        # the anchor a q_c link adds is drawn as a fresh int; the lists
+        # hold the graph's own object of each id instead
+        _, g = grow_dmc(er_seed(30, 0.2, 1), DmcParams(0.25, 0.5),
+                        GrowthPlan(1500), np.random.default_rng(0))
+        objects = {id(w) for a in g._adj for w in a}
+        assert g.edge_count > 10 * g.node_count
+        assert len(objects) <= g.node_count
+
     def test_reproducible(self):
         seed = er_seed(30, 0.2, 7)
         plan = GrowthPlan(120, tuple(range(35, 121, 5)), TRACK_BOTH)

@@ -6,6 +6,7 @@ SciPy at all, also when it simulates its observed network; a build
 imports what its tasks call before its pool forks, so no forked worker
 imports a module of its own. Likewise ``multiprocessing`` is loaded
 only by a pool that forks, so the steps that run no pool never load it.
+A pool forks whatever the interpreter's default start method.
 """
 
 import json
@@ -214,6 +215,48 @@ def test_pool_workers_import_no_scipy(tmp_path, cfg, parent):
         assert in_caller >= 1 and forked >= 1
     assert result == {"imported": [], "parent": parent}
 
+
+# pool_map at workers=2 over 8 jobs, under the start method given, after
+# the caller has imported scipy.linalg; each job reports whether it ran
+# in the caller, whether its process is the caller's child and whether
+# scipy.linalg was imported there already
+START_METHOD = """
+import json
+import multiprocessing
+import os
+import sys
+
+method, probe_dir = sys.argv[1:]
+multiprocessing.set_start_method(method)
+sys.path.insert(0, probe_dir)
+import scipy.linalg
+from growabc.pool import pool_map
+from poolprobe import probe
+print(json.dumps(list(pool_map(probe, [(os.getpid(), 0.05)] * 8, 2))))
+"""
+
+PROBE = """
+import os
+import sys
+import time
+
+def probe(job):
+    caller, pause = job
+    linalg = "scipy.linalg" in sys.modules
+    time.sleep(pause)
+    return [os.getpid() == caller, os.getppid() == caller, linalg]
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_forks_whatever_the_default_start_method(tmp_path, method):
+    # jobs run outside the caller run in its children, which inherit
+    # the SciPy it imported, also where the default is not to fork
+    (tmp_path / "poolprobe.py").write_text(PROBE)
+    reports = run_fresh(START_METHOD, method, tmp_path)
+    outside = [report[1:] for report in reports if not report[0]]
+    assert len(reports) == 8 and outside
+    assert outside == [[True, True]] * len(outside)
 
 # the cached edge-list seed of one config: whether it keeps a running
 # triangle count and neighbor bitmasks, and the SciPy modules loaded
