@@ -27,10 +27,10 @@ def pool_map(fn, jobs, workers):
     raised, and tops the forked processes up to two jobs each in flight,
     one running and one queued; once no more jobs are unassigned than
     there are forked processes, to one each, so that the last jobs go to
-    whichever process is free first. Then, unless job order's next
-    result is ready, it runs the next unassigned job itself. A forked
-    process that finishes both its jobs while this one runs a job waits
-    for it. A job's exception is raised at its position in job order;
+    whichever process is free first. Then it runs the next unassigned
+    job itself, unless the next result in job order is ready to yield. A
+    forked process that finishes both its jobs while this one runs a job
+    waits for it. A job's exception is raised at its position in job order;
     once a job has raised, no further job starts, and jobs still queued
     are cancelled. ``fn`` must be a module-level function, looked up by
     name when the pool pickles it. The forked processes inherit this
@@ -59,8 +59,8 @@ def pool_map(fn, jobs, workers):
                 running -= finished
                 if any(f.exception() is not None for f in finished):
                     stopped = True
-                while not stopped and claimed < len(jobs) and len(running) < (
-                        2 * forked if len(jobs) - claimed > forked else forked):
+                while (not stopped and claimed < len(jobs) and len(running)
+                       < forked * (2 if len(jobs) - claimed > forked else 1)):
                     slots[claimed] = pool.submit(fn, jobs[claimed])
                     running.add(slots[claimed])
                     claimed += 1

@@ -710,6 +710,21 @@ class TestPool:
         assert runs.pop(os.getpid()) == [2]
         assert list(runs.values()) == [[0, 1]]
 
+    def test_forked_job_raising_stops_claims_before_its_turn(self, tmp_path):
+        # two forked processes hold jobs 0 to 3; job 1 fails at once
+        # while job 0 still runs and the caller is on job 4: the caller
+        # claims nothing more, waits for job 0, then job 1 raises
+        jobs = [(i, {0: 1.0, 1: 0.0, 4: 0.5}.get(i, 0.05), i == 1,
+                 str(tmp_path)) for i in range(8)]
+        got = []
+        with pytest.raises(ValueError, match="job 1"):
+            for i, _ in pool_map(_pool_job, jobs, 3):
+                got.append(i)
+        assert got == [0]
+        runs = _pool_runs(tmp_path)
+        assert runs.pop(os.getpid()) == [4]
+        assert sorted(sum(runs.values(), [])) == [0, 1, 2, 3]
+
     def test_forked_process_dying_mid_job_breaks_the_pool(self, tmp_path):
         # the forked process ends on job 0 while the caller runs job 2:
         # the pool raises at job 0's position and leaves no process
