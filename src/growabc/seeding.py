@@ -3,15 +3,15 @@
 A SplitMix64-style finalizer over (master_seed, stream index) so that
 parallel build order never affects which random stream an entry sees.
 Every stream of a run is seeded by ``mix_seed(master_seed, index)``,
-with one index range per role: table entry ``b`` uses ``b``; replicate
-``r`` of truth ``t`` uses ``OBSERVED_OFFSET + t * REPLICATE_BLOCK + r``
-for its observed network (``observed_seed``) and
-``FILL_OFFSET + t * REPLICATE_BLOCK + r`` for its zero-density fills
-(``fill_seed``); auxiliary standardisation draw ``i`` uses
-``AUX_OFFSET + i`` (``aux_seed``). ``RunConfig.validate`` keeps every
-index inside its role's range. ``abc_run`` without an observed vector,
-CLI ``ingest`` and the timing report use replicate (0, 0), the study's
-first.
+with one index range per role: table entry ``b`` uses ``b``
+(``table.entry_stream``); replicate ``r`` of truth ``t`` uses
+``OBSERVED_OFFSET + t * REPLICATE_BLOCK + r`` for its observed network
+(``observed_seed``) and ``FILL_OFFSET + t * REPLICATE_BLOCK + r`` for
+its zero-density fills (``fill_seed``); auxiliary standardisation draw
+``i`` uses ``AUX_OFFSET + i`` (``aux_seed``). ``RunConfig.validate``
+keeps every index inside its role's range. ``abc_run`` without an
+observed vector, CLI ``ingest`` and the timing report use replicate
+(0, 0), the study's first.
 """
 
 import functools

@@ -3,23 +3,25 @@
 One row per prior draw: the parameters, the per-entry RNG seed, and the
 extrapolated (or, for method S, exact) summary values at n_o; GP-based
 methods additionally store predictive variances and the inter-summary
-correlation. An entry fails only when its fit does (``NotConverged``,
-``SingularKernel`` or ``OverflowError``): it then writes nan values and
-``failed=1``. Any other exception stops the build, and
-``RunConfig.validate`` refuses an invalid config before any entry is
-built. ``grow_to`` grows a copy of the seed graph by a ``GrowthPlan``:
-an entry by ``RunConfig.entry_plan()``, an observed network by a plan
-to n_o. The seed graph is built once, before any entry (an edge-list
-seed file is read, and so checked, then, and the entries' growth plan
-is checked against its size); the SciPy modules the entries call are
+correlation. An entry is one unit of work: ``entry_stream`` gives its
+seed, rng and theta, ``grow_to`` grows it on that rng by
+``RunConfig.entry_plan()``, and ``extrapolate_series`` fits the grown
+series, growing nothing; method S grows it to n_o by
+``simulate_observed``. An entry fails only when its fit does
+(``NotConverged``, ``SingularKernel`` or ``OverflowError``): it then
+writes nan values and ``failed=1``. Any other exception stops the build,
+and ``RunConfig.validate`` refuses an invalid config before any entry is
+built. The seed graph is built once, before any entry (an edge-list seed
+file is read, and so checked, then, and the entries' growth plan is
+checked against its size); the SciPy modules the entries call are
 imported then too, before the pool forks, so its forked processes
-inherit them. Rows are written
-incrementally and builds are resumable by entry id, guarded by a config
-hash in the header comment. Resuming checks that hash, then cuts off a
-last row without its newline (a build killed mid-write), and reading
-refuses a row whose field count differs from the header's. Reading returns the
-usable rows as a ``rejection.ReferenceTable``, whose NumPy columns
-every acceptance pass against the table reuses.
+inherit them. Rows are written incrementally and builds are resumable by
+entry id, guarded by a config hash in the header comment. Resuming
+checks that hash, then cuts off a last row without its newline (a build
+killed mid-write), and reading refuses a row whose field count differs
+from the header's. Reading returns the usable rows as a
+``rejection.ReferenceTable``, whose NumPy columns every acceptance pass
+against the table reuses.
 """
 
 import csv
@@ -88,13 +90,18 @@ def simulate_observed(cfg, theta, rng):
     return tuple(evaluate(spec, g, rng) for spec in specs)
 
 
-def _entry_values(cfg, theta, rng):
-    """Extrapolated summaries (plus GP fields) for one table entry."""
-    specs = cfg.summary_specs()
-    if cfg.method == "S":
-        return simulate_observed(cfg, theta, rng), None, None
+def entry_stream(cfg, entry_id):
+    """Table entry ``entry_id``'s stream: (rng_seed, rng, theta), theta
+    being the rng's first draw. The entry grows on from that rng."""
+    rng_seed = mix_seed(cfg.master_seed, entry_id)
+    rng = np.random.default_rng(rng_seed)
+    return rng_seed, rng, draw_prior(cfg.prior_box(), rng)
 
-    series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
+
+def extrapolate_series(cfg, series):
+    """Fit a grown entry's TrackedSeries, growing nothing: (values at
+    n_o, GP variances, GP correlation), the GP fields None for LS, RE."""
+    specs = cfg.summary_specs()
     grid = np.asarray(series.checkpoints, dtype=float)
     if cfg.method not in GP_METHODS:  # LS and RE
         ext = []
@@ -124,12 +131,14 @@ def _entry_values(cfg, theta, rng):
 
 def _build_entry(args):
     cfg, entry_id = args
-    seed_val = mix_seed(cfg.master_seed, entry_id)
-    rng = np.random.default_rng(seed_val)
-    theta = draw_prior(cfg.prior_box(), rng)
+    seed_val, rng, theta = entry_stream(cfg, entry_id)
     try:
-        ext, gpvars, gpcorr = _entry_values(cfg, theta, rng)
-        return (entry_id, seed_val, theta, ext, gpvars, gpcorr, False)
+        if cfg.method == "S":
+            values = simulate_observed(cfg, theta, rng), None, None
+        else:
+            series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
+            values = extrapolate_series(cfg, series)
+        return (entry_id, seed_val, theta, *values, False)
     except (NotConverged, SingularKernel, OverflowError):
         # only a fit fails an entry; any other fault stops the build
         nans = (math.nan,) * len(cfg.summary_specs())

@@ -15,10 +15,9 @@ from growabc.curvefit import (
     fit_series,
 )
 from growabc.errors import NonFiniteInput, NotConverged, TooFewPoints
-from growabc.rejection import draw_prior
-from growabc.seeding import mix_seed
 from growabc.table import (
     build_reference_table,
+    entry_stream,
     grow_to,
     load_reference_table,
     simulate_observed,
@@ -32,8 +31,7 @@ FAMILIES = POWER_FAMILIES + ("inverse", "digamma")
 def tracked_series(cfg, entry_id):
     """The checkpoint grid and the tracked columns of one table entry,
     grown exactly as the table build grows it."""
-    rng = np.random.default_rng(mix_seed(cfg.master_seed, entry_id))
-    theta = draw_prior(cfg.prior_box(), rng)
+    _, rng, theta = entry_stream(cfg, entry_id)
     series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
     grid = np.asarray(series.checkpoints, dtype=float)
     return grid, {spec.kind: series.column(spec.name)

@@ -99,19 +99,17 @@ def profiled_amplitude(spec, hyper, s, c, center=0.4, sd=1.0):
 
 
 @functools.cache
-def dmc_series():
-    """Checkpoint grid and summary columns of entry 1 of the dmc_gp
-    benchmark's RunConfig (master seed 0): a grown DMC series."""
+def dmc_series(master_seed=0):
+    """Checkpoint grid and summary columns (avg_degree, triangle_count)
+    of entry 1 of the dmc_gp benchmark's RunConfig: a grown DMC
+    series."""
     from growabc.config import RunConfig
-    from growabc.rejection import draw_prior
-    from growabc.seeding import mix_seed
-    from growabc.table import grow_to
+    from growabc.table import entry_stream, grow_to
 
     cfg = RunConfig(method="GPa", n_s=500, n_o=1000, truths="0.25:0.5",
                     table_size=8, accept_k=3, exp_replicates=4,
-                    master_seed=0)
-    rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
-    theta = draw_prior(cfg.prior_box(), rng)
+                    master_seed=master_seed)
+    _, rng, theta = entry_stream(cfg, 1)
     series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
     return (np.asarray(series.checkpoints, dtype=float),
             [np.asarray(series.column(sp.name), dtype=float)
@@ -444,21 +442,7 @@ class TestFitMap:
         # search over (a, c, kernel) stopped on the a-c ridge at a point
         # that is not stationary: log posterior -31534.03, a = -0.30,
         # c = -0.07.
-        from growabc.config import RunConfig
-        from growabc.rejection import draw_prior
-        from growabc.seeding import mix_seed
-        from growabc.table import grow_to
-
-        cfg = RunConfig(method="GPa", n_s=500, n_o=1000, truths="0.25:0.5",
-                        table_size=8, accept_k=3, exp_replicates=4,
-                        master_seed=2)
-        rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
-        theta = draw_prior(cfg.prior_box(), rng)
-        series, _ = grow_to(cfg, theta, rng, cfg.entry_plan())
-        (spec,) = [sp for sp in cfg.summary_specs()
-                   if sp.kind == "triangle_count"]
-        grid = np.asarray(series.checkpoints, dtype=float)
-        s = np.asarray(series.column(spec.name), dtype=float)
+        grid, (_, s) = dmc_series(master_seed=2)
         fit = fit_map(grid, s, KernelSpec("linear_plus_rbf", "identity"),
                       fit_series(grid, s, "power"))
         assert fit.log_posterior >= -6035.0

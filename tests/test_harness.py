@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from growabc.seeding import (
 )
 from growabc.graph import Graph, er_seed, write_edge_list
 from growabc.ingest import ingest_observed, read_edge_list, seed_subgraph
+from growabc.models import GrowthPlan
 from growabc.pool import pool_map
 from growabc.summaries import SummarySpec, evaluate
 from growabc.table import (
@@ -53,12 +55,15 @@ from growabc.table import (
     build_seed_graph,
     load_reference_table,
     simulate_observed,
+    table_columns,
 )
 from growabc import cli, experiment, graph, table
 
 
 SMALL = dict(n_s=60, n_o=80, table_size=6, accept_k=3, exp_replicates=3,
              timing_reps=1)
+PRICE = dict(model="price", prior_low=(0.5, 0.001), prior_high=(5.0, 0.01),
+             truths="2.5:0.005", summaries="in_degree_mean,in_degree_variance")
 
 
 def small_cfg(**kw):
@@ -248,6 +253,58 @@ class TestTableBuild:
                           for r in rows])
         assert [p[0] for p in pairs[0]] == ["1", "2", "3", "4"]
         assert pairs[1] == pairs[0] and pairs[2] == pairs[0]
+
+    @pytest.mark.parametrize("kw", [dict(summaries="avg_degree,"
+                                         "triangle_count"), PRICE],
+                             ids=["dmc", "price"])
+    def test_entry_grown_on_to_n_o_pairs_with_ls_and_s(self, tmp_path, kw):
+        # entry b's stream grown by one plan to n_o: its first rows are
+        # the LS entry's series, and its last row is row b of an S table
+        cfg = RunConfig(n_s=200, n_o=400, table_size=6, workers=1, **kw)
+        path = build_reference_table(replace(cfg, method="S"),
+                                     str(tmp_path / "s.csv"))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        specs = cfg.summary_specs()
+        plan = GrowthPlan(cfg.n_o, tuple(range(35, cfg.n_o + 1, 5)), specs)
+        n = len(cfg.checkpoints())
+        assert len(rows) == 6
+        for b, row in enumerate(rows, 1):
+            _, rng, theta = table.entry_stream(cfg, b)
+            ls, _ = table.grow_to(cfg, theta, rng, cfg.entry_plan())
+            _, rng, theta = table.entry_stream(cfg, b)
+            full, _ = table.grow_to(cfg, theta, rng, plan)
+            assert full.checkpoints[:n] == ls.checkpoints
+            assert full.values[:n].tolist() == ls.values.tolist()
+            assert [repr(float(v)) for v in full.values[-1]] \
+                == [row["ext_" + spec.name] for spec in specs]
+
+    @pytest.mark.parametrize("kw", [
+        dict(method="LS"), dict(method="GPa"),
+        dict(method="RE", summaries="avg_degree,sample_triangle_count",
+             n_star=35)], ids=["LS", "GPa", "RE"])
+    def test_extrapolate_series_gives_the_row_and_grows_nothing(
+            self, tmp_path, monkeypatch, kw):
+        cfg = small_cfg(table_size=4, workers=1, **kw)
+        path = build_reference_table(cfg, str(tmp_path / "t.csv"))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        grown = []
+        for b in range(1, cfg.table_size + 1):
+            _, rng, theta = table.entry_stream(cfg, b)
+            grown.append(table.grow_to(cfg, theta, rng, cfg.entry_plan())[0])
+
+        def no_growth(*args):
+            raise AssertionError("extrapolate_series grew a network")
+
+        monkeypatch.setattr(table, "grow_dmc", no_growth)
+        cols = [c for c in table_columns(cfg)
+                if c.startswith(("ext_", "gpvar_", "gp_corr"))]
+        for row, series in zip(rows, grown):
+            values, gpvars, corr = table.extrapolate_series(cfg, series)
+            if gpvars is not None:
+                values += gpvars + (corr,)
+            assert [repr(float(v)) for v in values] == [row[c] for c in cols]
 
 
 class TestIngest:
@@ -480,8 +537,7 @@ class TestStreams:
                           "avg_degree,sample_triangle_count"):
             cfg = small_cfg(summaries=summaries, n_star=35, n_s=200,
                             n_o=400)
-            rng = np.random.default_rng(mix_seed(cfg.master_seed, 1))
-            theta = draw_prior(cfg.prior_box(), rng)
+            _, rng, theta = table.entry_stream(cfg, 1)
             _, g = table.grow_to(cfg, theta, rng, cfg.entry_plan())
             grown.append(list(g.edges()))
         assert grown[0] == grown[1]
@@ -568,17 +624,20 @@ class TestExperiment:
 
     def test_pool_matches_serial(self, tmp_path):
         # 8 entries and 4 observed networks: both pools run at workers=2
-        # and at workers=3
-        cfg = small_cfg(table_size=8, exp_replicates=4)
-        outs = {w: str(tmp_path / ("w%d" % w)) for w in (1, 2, 3)}
-        for w, out in outs.items():
-            run_experiment(cfg, out, workers=w)
-        for name in ("posterior_means.csv", "experiment_stats.json",
-                     "table.csv"):
-            a = open(os.path.join(outs[1], name), "rb").read()
-            for w in (2, 3):
-                b = open(os.path.join(outs[w], name), "rb").read()
-                assert a == b, (name, w)
+        # and at workers=3. S, GPa and Price LS build their entries by
+        # other branches than LS does.
+        for kw in ({}, dict(method="S"), dict(method="GPa"), PRICE):
+            cfg = small_cfg(table_size=8, exp_replicates=4, **kw)
+            outs = {w: str(tmp_path / cfg.model / cfg.method / str(w))
+                    for w in (1, 2, 3)}
+            for w, out in outs.items():
+                run_experiment(cfg, out, workers=w)
+            for name in ("posterior_means.csv", "experiment_stats.json",
+                         "table.csv"):
+                a = open(os.path.join(outs[1], name), "rb").read()
+                for w in (2, 3):
+                    b = open(os.path.join(outs[w], name), "rb").read()
+                    assert a == b, (cfg.model, cfg.method, name, w)
 
 
 def _pool_job(job):
